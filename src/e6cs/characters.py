@@ -141,6 +141,14 @@ def cache_path(m) -> Path:
     return cache_dir() / ("chi_" + "-".join(str(int(x)) for x in m) + ".json")
 
 
+def cache_key(path: Path) -> lattice.Vec:
+    """The weight a cache file is named for; the inverse of cache_path."""
+    parts = path.stem[len("chi_"):].split("-")
+    if len(parts) != 6 or not all(p.isdecimal() for p in parts):
+        raise CacheCorruptError(f"stray cache entry {path}: name is not chi_<six labels>.json")
+    return tuple(int(p) for p in parts)
+
+
 def character_to_json(ch: Character) -> dict:
     return {
         "weight": list(ch.weight),

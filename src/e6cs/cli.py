@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from . import hamiltonian, lattice, tensor, verify
-from .characters import cache_dir, character, character_to_json, clear_memory_cache
+from .characters import cache_dir, cache_key, character, character_to_json, clear_memory_cache
 from .errors import E6CSError
 from .ring import PolynomialSyntaxError, coef_to_str, parse_polynomial
 
@@ -124,8 +124,7 @@ def _cmd_cache(args) -> int:
     else:  # validate: reload every entry through the invariant checks
         clear_memory_cache()
         for path in entries:
-            weight = tuple(int(x) for x in path.stem[len("chi_"):].split("-"))
-            character(weight)
+            character(cache_key(path))
         print(f"validated {len(entries)} entries in {directory}")
     return 0
 

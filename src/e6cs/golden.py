@@ -12,7 +12,7 @@ import json
 from functools import lru_cache
 from importlib import resources
 
-from .lattice import Vec
+from .lattice import Vec, conjugate
 from .ring import SparsePolynomial
 from .tensor import CGSeries
 
@@ -57,6 +57,5 @@ def all_characters() -> dict[Vec, SparsePolynomial]:
     out = dict(characters_degree2())
     for w, poly in characters_degree3().items():
         out[w] = poly
-        wc = (w[5], w[1], w[4], w[3], w[2], w[0])
-        out.setdefault(wc, poly.conjugate_variables())
+        out.setdefault(conjugate(w), poly.conjugate_variables())
     return out

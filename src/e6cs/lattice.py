@@ -17,8 +17,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import InternalInconsistencyError, NonIntegralError
 
 Vec = tuple[int, int, int, int, int, int]
@@ -189,40 +187,33 @@ def _check_dominant(m: Sequence[int]) -> Vec:
     return m
 
 
-_CARTAN_NP = np.array(CARTAN, dtype=np.int64)
+# Each positive root as a step in Dynkin labels, with its height.
+_ROOT_STEPS: tuple[tuple[int, Vec], ...] = tuple(
+    (height(r), from_root_basis(r)) for r in _POSITIVE_ROOTS)
 
 
 @lru_cache(maxsize=512)
 def _dominant_weights_below_cached(m: Vec) -> tuple[Vec, ...]:
-    # Enumerate v >= 0 in the root basis with m - A v dominant.  Each
-    # coordinate of v is bounded by the matching coordinate of m in the root
-    # basis, so a box scan suffices; numpy chews through the box in chunks.
-    bound = []
-    for i in range(6):
-        num = sum(CARTAN_INVERSE_X3[i][j] * m[j] for j in range(6))
-        bound.append(num // 3)
-    axes = [np.arange(b + 1, dtype=np.int64) for b in bound[1:]]
-    flat = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
-    found: list[tuple[int, Vec]] = []
-    for v0 in range(bound[0] + 1):
-        cols = [np.full(flat[0].shape, v0, dtype=np.int64)] + flat
-        labels = []
-        ok = None
-        for i in range(6):
-            li = np.full(cols[0].shape, m[i], dtype=np.int64)
-            for j in range(6):
-                a = _CARTAN_NP[i, j]
-                if a:
-                    li = li - a * cols[j]
-            labels.append(li)
-            ok = (li >= 0) if ok is None else (ok & (li >= 0))
-        idx = np.nonzero(ok)[0]
-        for t in idx:
-            mu = tuple(int(labels[i][t]) for i in range(6))
-            ht = int(v0 + sum(int(c[t]) for c in cols[1:]))
-            found.append((ht, mu))
-    found.sort()
-    return tuple(mu for _, mu in found)
+    # Stembridge ("The partial order of dominant weights", Adv. Math. 136,
+    # 1998): every dominant mu < m is joined to m by a chain of dominant
+    # weights, each step subtracting one positive root.  A breadth-first
+    # descent from m that keeps only dominant weights therefore visits
+    # exactly the answer, in memory proportional to it.  The height of
+    # m - mu is the sum of the step heights along any chain.
+    drop = {m: 0}
+    frontier = [m]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            d = drop[w]
+            for h, r in _ROOT_STEPS:
+                mu = (w[0] - r[0], w[1] - r[1], w[2] - r[2],
+                      w[3] - r[3], w[4] - r[4], w[5] - r[5])
+                if min(mu) >= 0 and mu not in drop:
+                    drop[mu] = d + h
+                    nxt.append(mu)
+        frontier = nxt
+    return tuple(sorted(drop, key=lambda mu: (drop[mu], mu)))
 
 
 def dominant_weights_below(m: Sequence[int]) -> list[Vec]:

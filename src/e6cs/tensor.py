@@ -20,6 +20,11 @@ from .errors import (InternalInconsistencyError, NegativeMultiplicityError,
 from .ring import SparsePolynomial
 
 
+def _top(factors: Sequence[Sequence[int]]) -> lattice.Vec:
+    """Highest weight of a product of irreducibles: the sum of the factors."""
+    return tuple(sum(f[i] for f in factors) for i in range(6))
+
+
 @dataclass(frozen=True)
 class CGSeries:
     """A tensor-product decomposition: factor weights and term multiplicities."""
@@ -29,7 +34,7 @@ class CGSeries:
 
     @property
     def top(self) -> lattice.Vec:
-        return tuple(sum(f[i] for f in self.factors) for i in range(6))
+        return _top(self.factors)
 
     def sorted_terms(self) -> list[tuple[lattice.Vec, int]]:
         top_h = lattice.weight_height(self.top)
@@ -56,7 +61,7 @@ class CGSeries:
 
 
 def _peel(product: SparsePolynomial, factors: tuple[lattice.Vec, ...]) -> CGSeries:
-    top = tuple(sum(f[i] for f in factors) for i in range(6))
+    top = _top(factors)
     residual = dict(product.terms)
     out: dict[lattice.Vec, int] = {}
     for mu in lattice.dominant_weights_below(top):

@@ -174,3 +174,15 @@ def test_cache_admin(capsys, tmp_path, monkeypatch):
         assert "entries: 0" in out
     finally:
         characters.clear_memory_cache()
+
+
+def test_cache_validate_rejects_stray_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv(characters.CACHE_ENV, str(tmp_path))
+    characters.clear_memory_cache()
+    try:
+        (tmp_path / "chi_foo.json").write_text("{}")
+        code, _, err = run(capsys, "cache", "validate")
+        assert code == 1
+        assert err.startswith("error:") and "chi_foo.json" in err
+    finally:
+        characters.clear_memory_cache()

@@ -1,6 +1,10 @@
+import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from e6cs import lattice
 from e6cs.errors import NonIntegralError
@@ -105,6 +109,45 @@ def test_dominant_weights_below_downward_closed():
     outer_set = set(outer)
     for mu in outer:
         assert set(lattice.dominant_weights_below(mu)) <= outer_set
+
+
+# Digest of the ordered lists below every weight with label sum <= 4, recorded
+# from the earlier root-basis box-scan implementation.
+SEED_DIGEST_LABEL_SUM_4 = "376fd9a017c2a2f5409379a6c83c2d7e5b7c2b622e7b1dc89c5de5581126ba26"
+LABEL_SUM_4 = sorted(w for w in itertools.product(range(5), repeat=6) if sum(w) <= 4)
+
+
+def test_dominant_weights_below_matches_seed_digest():
+    assert len(LABEL_SUM_4) == 210
+    got = repr([lattice.dominant_weights_below(w) for w in LABEL_SUM_4])
+    assert hashlib.sha256(got.encode()).hexdigest() == SEED_DIGEST_LABEL_SUM_4
+
+
+@pytest.mark.parametrize("m, count", [
+    ((1, 1, 1, 2, 1, 1), 578),
+    ((0, 0, 0, 5, 0, 0), 633),
+    ((2, 2, 2, 2, 2, 2), 4679),
+])
+def test_dominant_weights_below_counts(m, count):
+    assert len(lattice.dominant_weights_below(m)) == count
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(LABEL_SUM_4))
+def test_dominant_weights_below_properties(m):
+    got = lattice.dominant_weights_below(m)
+    assert got[0] == m
+    drops = []
+    for mu in got:
+        assert all(x >= 0 for x in mu)
+        diff = lattice.to_root_basis(tuple(a - b for a, b in zip(m, mu)))
+        assert all(x >= 0 for x in diff)
+        drops.append(lattice.height(diff))
+    keys = list(zip(drops, got))
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    got_set = set(got)
+    for mu in got:
+        assert set(lattice.dominant_weights_below(mu)) <= got_set
 
 
 def test_conjugate():
