@@ -14,15 +14,17 @@ import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import chain
 from pathlib import Path
 
 from . import hamiltonian, lattice
 from .errors import (CacheCorruptError, DegenerateScaleError,
                      InternalInconsistencyError, ZeroDenominatorError)
-from .ring import Exponent, SparsePolynomial, _norm
+from .ring import Exponent, SparsePolynomial, _norm, _wrap, coef_to_str
 
 CACHE_ENV = "E6CS_CACHE_DIR"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
+JSON_VERSION = 1  # of the `char --format json` record, not of the cache
 
 FUNDAMENTAL_DIMENSIONS = (27, 78, 351, 2925, 351, 27)
 
@@ -107,22 +109,28 @@ def character_annihilator(m) -> Character:
 
 def validate_character(ch: Character) -> None:
     """Check the four structural invariants; raise on any violation."""
-    poly = ch.poly
-    if poly.coefficient_of(ch.weight) != 1:
-        raise InternalInconsistencyError(f"character of {ch.weight} is not monic")
-    if any(not isinstance(c, int) for c in poly.terms.values()):
-        raise InternalInconsistencyError(f"character of {ch.weight} has non-integer coefficients")
-    eps3 = hamiltonian.eigenvalue_x3(ch.weight)
-    acc: dict[Exponent, int] = {}
+    w, terms = ch.weight, ch.poly.terms
+    if terms.get(w) != 1:
+        raise InternalInconsistencyError(f"character of {w} is not monic")
+    if any(type(c) is not int for c in terms.values()):
+        raise InternalInconsistencyError(f"character of {w} has non-integer coefficients")
+    # eigenfunction: (3*Delta - 3*eps) chi must vanish term by term
+    eps3 = hamiltonian.eigenvalue_x3(w)
+    image = hamiltonian.image_x3
+    acc = {e: -eps3 * c for e, c in terms.items()}
     get = acc.get
-    for t, v in hamiltonian.iter_image_x3(poly.terms):
-        acc[t] = get(t, 0) + v
-    expected = {e: eps3 * c for e, c in poly.terms.items() if eps3 * c}
-    if {e: c for e, c in acc.items() if c} != expected:
-        raise InternalInconsistencyError(f"character of {ch.weight} is not an eigenfunction")
-    if poly.evaluate(FUNDAMENTAL_DIMENSIONS) != lattice.weyl_dimension(ch.weight):
+    for e, c in terms.items():
+        for t, k3 in image(e).items():
+            acc[t] = get(t, 0) + c * k3
+    if any(acc.values()):
+        t, r3 = next((t, r3) for t, r3 in acc.items() if r3)
         raise InternalInconsistencyError(
-            f"character of {ch.weight} evaluates to the wrong dimension")
+            f"character of {w} is not an eigenfunction: (Delta - eps) chi has "
+            f"residual {coef_to_str(Fraction(r3, 3))} at exponent {t}")
+    got, expect = ch.poly.evaluate(FUNDAMENTAL_DIMENSIONS), lattice.weyl_dimension(w)
+    if got != expect:
+        raise InternalInconsistencyError(
+            f"character of {w} evaluates to {got}, expected the Weyl dimension {expect}")
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +158,13 @@ def cache_key(path: Path) -> lattice.Vec:
 
 
 def character_to_json(ch: Character) -> dict:
+    """The `char --format json` record: terms in descending graded-lex order,
+    coefficients as strings."""
     return {
         "weight": list(ch.weight),
         "terms": ch.poly.to_records(),
         "method": ch.method,
-        "version": CACHE_VERSION,
+        "version": JSON_VERSION,
     }
 
 
@@ -164,13 +174,47 @@ def character_from_json(obj: dict) -> Character:
     return Character(weight, poly, str(obj.get("method", "cache")))
 
 
+def decode_cache_entry(text: str) -> Character | None:
+    """Rebuild the character stored in a cache file's text.
+
+    An entry is {"weight", "version", "method", "exps", "coefs"}: six
+    exponents per term in `exps`, one integer coefficient per term in `coefs`.
+    Returns None for an entry of another format version.  Raises ValueError
+    on anything malformed; the invariants are left to validate_character."""
+    obj = json.loads(text)
+    if type(obj) is not dict:
+        raise ValueError("entry is not a JSON object")
+    if obj.get("version") != CACHE_VERSION:
+        return None
+    weight, exps, coefs = obj.get("weight"), obj.get("exps"), obj.get("coefs")
+    if type(weight) is not list or type(exps) is not list or type(coefs) is not list:
+        raise ValueError("weight, exps and coefs must be arrays")
+    if len(weight) != 6 or len(exps) != 6 * len(coefs):
+        raise ValueError(f"{len(weight)} labels, {len(exps)} exponents "
+                         f"for {len(coefs)} coefficients")
+    if set(map(type, chain(weight, exps, coefs))) - {int}:
+        raise ValueError("labels, exponents and coefficients must be integers")
+    if min(weight) < 0 or min(exps, default=0) < 0:
+        raise ValueError("negative label or exponent")
+    if 0 in coefs:
+        raise ValueError("zero coefficient")
+    it = iter(exps)
+    terms = dict(zip(zip(it, it, it, it, it, it), coefs))
+    if len(terms) != len(coefs):
+        raise ValueError("repeated exponent")
+    return Character(tuple(weight), _wrap(terms), str(obj.get("method", "cache")))
+
+
 def _store(ch: Character) -> None:
     path = cache_path(ch.weight)
     path.parent.mkdir(parents=True, exist_ok=True)
+    terms = ch.poly.terms
+    entry = {"weight": list(ch.weight), "version": CACHE_VERSION, "method": ch.method,
+             "exps": [x for e in terms for x in e], "coefs": list(terms.values())}
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(character_to_json(ch), fh)
+            fh.write(json.dumps(entry, separators=(",", ":")))
         os.replace(tmp, path)  # atomic publish; identical content on races
     except BaseException:
         try:
@@ -181,19 +225,22 @@ def _store(ch: Character) -> None:
 
 
 def _load(m) -> Character | None:
+    """The validated cached character of m, or None on a miss.  An entry of
+    another format version is a miss, so it is recomputed and overwritten."""
     path = cache_path(m)
     try:
-        obj = json.loads(path.read_text())
+        ch = decode_cache_entry(path.read_text())
     except FileNotFoundError:
         return None
     except (OSError, ValueError) as exc:
         raise CacheCorruptError(f"unreadable cache entry {path}: {exc}") from exc
+    if ch is None:
+        return None
     try:
-        ch = character_from_json(obj)
-        if ch.weight != tuple(m) or obj.get("version") != CACHE_VERSION:
-            raise InternalInconsistencyError("cache entry does not match its key")
+        if ch.weight != tuple(m):
+            raise InternalInconsistencyError(f"entry holds the character of {ch.weight}")
         validate_character(ch)
-    except (InternalInconsistencyError, ValueError, KeyError, TypeError) as exc:
+    except InternalInconsistencyError as exc:
         raise CacheCorruptError(f"invalid cache entry {path}: {exc}") from exc
     return ch
 

@@ -8,15 +8,14 @@ the first unmet expectation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Callable, Iterable
 
 from . import golden, hamiltonian, lattice, tensor
 from .characters import (FUNDAMENTAL_DIMENSIONS, cache_dir, character,
-                         character_annihilator, character_from_json,
-                         character_recursion, validate_character)
+                         character_annihilator, character_recursion,
+                         decode_cache_entry, validate_character)
 from .errors import E6CSError
 from .ring import SparsePolynomial
 
@@ -142,16 +141,21 @@ def suite_dims() -> list[Check]:
         got = lattice.weyl_dimension(w)
         checks.append(_check(f"dim({_label(w)})", got == d, d, got))
     cached = sorted(cache_dir().glob("chi_*.json")) if cache_dir().is_dir() else []
+    stale = 0
     for path in cached:
         try:
-            ch = character_from_json(json.loads(path.read_text()))
-            got = ch.poly.evaluate(FUNDAMENTAL_DIMENSIONS)
-            expect = lattice.weyl_dimension(ch.weight)
-            checks.append(_check(f"cached chi({_label(ch.weight)}) dimension", got == expect,
-                                 expect, got))
-        except (OSError, ValueError, KeyError) as exc:
+            ch = decode_cache_entry(path.read_text())
+        except (OSError, ValueError) as exc:
             checks.append(Check(f"cached entry {path.name}", False, str(exc)))
-    checks.append(Check(f"cached entries swept: {len(cached)}", True))
+            continue
+        if ch is None:  # another format version: recomputed on its next lookup
+            stale += 1
+            continue
+        got = ch.poly.evaluate(FUNDAMENTAL_DIMENSIONS)
+        expect = lattice.weyl_dimension(ch.weight)
+        checks.append(_check(f"cached chi({_label(ch.weight)}) dimension", got == expect,
+                             expect, got))
+    checks.append(Check(f"cached entries swept: {len(cached) - stale}", True))
     return checks
 
 

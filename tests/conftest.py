@@ -18,3 +18,12 @@ def session_cache(tmp_path_factory):
         os.environ.pop(characters.CACHE_ENV, None)
     else:
         os.environ[characters.CACHE_ENV] = old
+
+
+@pytest.fixture
+def term_index():
+    """Position of an exponent in a cache entry's flat `exps` array."""
+    def find(payload, exp):
+        exps = payload["exps"]
+        return [tuple(exps[i:i + 6]) for i in range(0, len(exps), 6)].index(exp)
+    return find

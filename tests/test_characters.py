@@ -1,14 +1,16 @@
 import json
+import re
 import types
 from itertools import product
 
 import pytest
 
-from e6cs import characters, golden, hamiltonian, lattice
+from e6cs import characters, golden, hamiltonian, lattice, verify
 from e6cs.characters import (character, character_annihilator,
                              character_recursion, validate_character)
+from e6cs.cli import main
 from e6cs.errors import (CacheCorruptError, DegenerateScaleError,
-                         ZeroDenominatorError)
+                         InternalInconsistencyError, ZeroDenominatorError)
 from e6cs.ring import SparsePolynomial, parse_polynomial
 
 
@@ -129,7 +131,7 @@ def test_cache_round_trip(tmp_path, monkeypatch):
         characters.clear_memory_cache()
 
 
-def test_cache_corruption_detected(tmp_path, monkeypatch):
+def test_cache_corruption_detected(tmp_path, monkeypatch, term_index):
     monkeypatch.setenv(characters.CACHE_ENV, str(tmp_path))
     characters.clear_memory_cache()
     try:
@@ -137,13 +139,133 @@ def test_cache_corruption_detected(tmp_path, monkeypatch):
         character(w)
         path = characters.cache_path(w)
         payload = json.loads(path.read_text())
-        payload["terms"][1]["coef"] = "17"  # break an interior coefficient
+        # break an interior coefficient
+        payload["coefs"][term_index(payload, (0, 0, 1, 0, 0, 0))] = 17
         path.write_text(json.dumps(payload))
         characters.clear_memory_cache()
         with pytest.raises(CacheCorruptError):
             character(w)
     finally:
         characters.clear_memory_cache()
+
+
+def test_cache_format_round_trip_is_bit_exact(tmp_path, monkeypatch):
+    monkeypatch.setenv(characters.CACHE_ENV, str(tmp_path))
+    characters.clear_memory_cache()
+    try:
+        for w in [(0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 1), (0, 0, 0, 3, 0, 0), (1, 1, 0, 0, 1, 0)]:
+            ch = character(w)
+            payload = json.loads(characters.cache_path(w).read_text())
+            assert sorted(payload) == ["coefs", "exps", "method", "version", "weight"]
+            assert len(payload["exps"]) == 6 * len(payload["coefs"]) == 6 * len(ch.poly.terms)
+            characters.clear_memory_cache()
+            again = character(w)
+            assert again.weight == ch.weight and again.method == ch.method
+            assert list(again.poly.terms.items()) == list(ch.poly.terms.items())
+            assert all(type(c) is int for c in again.poly.terms.values())
+    finally:
+        characters.clear_memory_cache()
+
+
+def _shorten_exps(payload, at):
+    payload["exps"].pop()
+
+
+def _negative_exponent(payload, at):
+    payload["exps"][6 * at(payload, (0, 0, 1, 0, 0, 0)) + 2] = -1
+
+
+def _float_coefficient(payload, at):
+    i = at(payload, (0, 0, 1, 0, 0, 0))
+    payload["coefs"][i] = float(payload["coefs"][i])
+
+
+def _true_coefficient(payload, at):
+    payload["coefs"][at(payload, (2, 0, 0, 0, 0, 0))] = True
+
+
+def _zero_coefficient(payload, at):
+    payload["coefs"][at(payload, (0, 0, 0, 0, 0, 1))] = 0
+
+
+def _repeated_exponent(payload, at):
+    i, j = at(payload, (0, 0, 1, 0, 0, 0)), at(payload, (0, 0, 0, 0, 0, 1))
+    payload["exps"][6 * j:6 * j + 6] = payload["exps"][6 * i:6 * i + 6]
+
+
+def _foreign_weight(payload, at):
+    payload["weight"] = [0, 0, 0, 0, 0, 2]  # the conjugate weight, same size
+
+
+@pytest.mark.parametrize("corrupt, reason", [
+    (_shorten_exps, "17 exponents for 3 coefficients"),
+    (_negative_exponent, "negative label or exponent"),
+    (_float_coefficient, "must be integers"),
+    (_true_coefficient, "must be integers"),
+    (_zero_coefficient, "zero coefficient"),
+    (_repeated_exponent, "repeated exponent"),
+    (_foreign_weight, r"holds the character of \(0, 0, 0, 0, 0, 2\)"),
+])
+def test_cache_decoder_rejects_malformed_entries(corrupt, reason, tmp_path, monkeypatch,
+                                                 capsys, term_index):
+    monkeypatch.setenv(characters.CACHE_ENV, str(tmp_path))
+    characters.clear_memory_cache()
+    try:
+        w = (2, 0, 0, 0, 0, 0)
+        character(w)
+        path = characters.cache_path(w)
+        payload = json.loads(path.read_text())
+        corrupt(payload, term_index)
+        path.write_text(json.dumps(payload))
+        characters.clear_memory_cache()
+        with pytest.raises(CacheCorruptError, match=re.escape(str(path))) as info:
+            character(w)
+        assert re.search(reason, str(info.value))
+        characters.clear_memory_cache()
+        assert main(["char", "2,0,0,0,0,0"]) == 1
+        assert "error:" in capsys.readouterr().err
+    finally:
+        characters.clear_memory_cache()
+
+
+def test_stale_cache_version_is_recomputed(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(characters.CACHE_ENV, str(tmp_path))
+    characters.clear_memory_cache()
+    try:
+        expect = {w: character_recursion(w).poly for w in [(1, 0, 0, 0, 0, 2), (0, 1, 1, 0, 0, 0)]}
+        for w, poly in expect.items():  # the version-1 layout, one record per term
+            v1 = {"weight": list(w), "terms": poly.to_records(), "method": "recursion",
+                  "version": 1}
+            characters.cache_path(w).write_text(json.dumps(v1))
+        dims = {c.name: c.ok for c in verify.suite_dims()}
+        assert all(dims.values()) and "cached entries swept: 0" in dims
+        w, u = expect
+        assert character(w).poly == expect[w]  # a miss: recomputed and overwritten
+        assert main(["cache", "validate"]) == 0  # upgrades the other entry
+        for v in expect:
+            payload = json.loads(characters.cache_path(v).read_text())
+            assert payload["version"] == characters.CACHE_VERSION == 2
+        characters.clear_memory_cache()
+        monkeypatch.setitem(characters._METHODS, "recursion", None)  # hits only from here
+        assert character(w).poly == expect[w] and character(u).poly == expect[u]
+    finally:
+        characters.clear_memory_cache()
+
+
+def test_validation_failures_name_the_fault(monkeypatch):
+    w = (1, 0, 0, 0, 0, 2)
+    ch = character_recursion(w)
+    bumped = dict(ch.poly.terms)
+    e = next(e for e in bumped if e != w)  # an interior term
+    bumped[e] *= 2  # stays nonzero, so the term stays in the support
+    with pytest.raises(InternalInconsistencyError) as info:
+        validate_character(characters.Character(w, SparsePolynomial(bumped), "recursion"))
+    msg = str(info.value)
+    assert str(w) in msg and "not an eigenfunction" in msg and f"at exponent {e}" in msg
+    monkeypatch.setattr(characters, "FUNDAMENTAL_DIMENSIONS", (1,) * 6)
+    with pytest.raises(InternalInconsistencyError,
+                       match=r"evaluates to 1, expected the Weyl dimension 27\b"):
+        validate_character(character_recursion((1, 0, 0, 0, 0, 0)))
 
 
 def test_cache_unparseable_file(tmp_path, monkeypatch):

@@ -33,6 +33,23 @@ def test_char_example_with_constant_term(capsys):
     assert out.strip() == "z1*z3 - z1*z6 - z4 + 1"
 
 
+def test_char_json_output_is_pinned(capsys, tmp_path, monkeypatch):
+    # the user-visible record, independent of the cache format; cold and warm
+    expect = ('{"weight": [2, 0, 0, 0, 0, 0], "terms": ['
+              '{"exp": [2, 0, 0, 0, 0, 0], "coef": "1"}, '
+              '{"exp": [0, 0, 1, 0, 0, 0], "coef": "-1"}, '
+              '{"exp": [0, 0, 0, 0, 0, 1], "coef": "-1"}], '
+              '"method": "recursion", "version": 1}\n')
+    monkeypatch.setenv(characters.CACHE_ENV, str(tmp_path))
+    characters.clear_memory_cache()
+    try:
+        for _ in range(2):
+            assert run(capsys, "char", "2,0,0,0,0,0", "--format", "json") == (0, expect, "")
+            characters.clear_memory_cache()
+    finally:
+        characters.clear_memory_cache()
+
+
 def test_char_json_round_trips(capsys):
     code, out, _ = run(capsys, "char", "1,1,0,0,0,0", "--format=json")
     assert code == 0
@@ -122,7 +139,7 @@ def test_usage_errors_exit_2(capsys):
         assert err.value.code == 2
 
 
-def test_computation_error_exits_1(capsys, tmp_path, monkeypatch):
+def test_computation_error_exits_1(capsys, tmp_path, monkeypatch, term_index):
     monkeypatch.setenv(characters.CACHE_ENV, str(tmp_path))
     characters.clear_memory_cache()
     try:
@@ -130,7 +147,7 @@ def test_computation_error_exits_1(capsys, tmp_path, monkeypatch):
         capsys.readouterr()
         path = characters.cache_path((2, 0, 0, 0, 0, 0))
         payload = json.loads(path.read_text())
-        payload["terms"][0]["coef"] = "3"
+        payload["coefs"][term_index(payload, (2, 0, 0, 0, 0, 0))] = 3
         path.write_text(json.dumps(payload))
         characters.clear_memory_cache()
         code, _, err = run(capsys, "char", "2,0,0,0,0,0")
