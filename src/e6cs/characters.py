@@ -80,20 +80,17 @@ def character_annihilator(m) -> Character:
     z^m, then rescale the survivor to a monic leading term."""
     m = tuple(int(x) for x in m)
     poly: dict[Exponent, int] = {m: 1}
+    image = hamiltonian.image_x3
     for mu in lattice.dominant_weights_below(m):
         if mu == m:
             continue
+        # apply the factor 3*Delta - 3*eps(mu) in one pass
         eps3 = hamiltonian.eigenvalue_x3(mu)
-        nxt: dict[Exponent, int] = {}
+        nxt = {e: -eps3 * c for e, c in poly.items()}
         get = nxt.get
-        for t, v in hamiltonian.iter_image_x3(poly):
-            nxt[t] = get(t, 0) + v
         for e, c in poly.items():
-            s = nxt.get(e, 0) - c * eps3
-            if s:
-                nxt[e] = s
-            else:
-                nxt.pop(e, None)
+            for t, k3 in image(e).items():
+                nxt[t] = get(t, 0) + c * k3
         poly = {e: c for e, c in nxt.items() if c}
     lead = poly.get(m, 0)
     if not lead:
@@ -216,6 +213,8 @@ def _store(ch: Character) -> None:
         with os.fdopen(fd, "w") as fh:
             fh.write(json.dumps(entry, separators=(",", ":")))
         os.replace(tmp, path)  # atomic publish; identical content on races
+    except FileNotFoundError:
+        pass  # a concurrent `cache clear` removed tmp: the entry is not kept
     except BaseException:
         try:
             os.unlink(tmp)

@@ -117,10 +117,14 @@ def _cmd_cache(args) -> int:
         print(f"cache directory: {directory}")
         print(f"entries: {len(entries)}")
     elif args.action == "clear":
-        for path in entries:
+        # a store killed between mkstemp and its rename leaves its temporary file
+        leftovers = sorted(directory.glob("*.tmp")) if directory.is_dir() else []
+        for path in entries + leftovers:
             path.unlink()
         clear_memory_cache()
         print(f"removed {len(entries)} entries from {directory}")
+        if leftovers:
+            print(f"removed {len(leftovers)} temporary files left by interrupted stores")
     else:  # validate: reload every entry through the invariant checks
         clear_memory_cache()
         for path in entries:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from importlib import resources
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 from . import lattice
 from .errors import InternalInconsistencyError, NonIntegralError
@@ -39,7 +39,11 @@ def eigenvalue(m: Sequence[int], kappa: Rational = 1) -> Rational:
 
 def eigenvalue_x3(m: Sequence[int]) -> int:
     """3 * eigenvalue(m, 1) as a plain int, for the integer kernel."""
-    return 2 * _quad3(m) + 4 * _lin3(m)
+    m = tuple(m)
+    eps3 = _EPS3.get(m)
+    if eps3 is None:
+        eps3 = _EPS3[m] = 2 * _quad3(m) + 4 * _lin3(m)
+    return eps3
 
 
 def _quad3(m: Sequence[int]) -> int:
@@ -148,6 +152,7 @@ def tables() -> OperatorTables:
 # Integer kernel: memoized image of each monomial under 3*Delta
 # ---------------------------------------------------------------------------
 _IMAGE3: dict[Exponent, dict[Exponent, int]] = {}
+_EPS3: dict[Exponent, int] = {}  # eigenvalue_x3 per exponent
 
 
 def image_x3(exp: Sequence[int]) -> dict[Exponent, int]:
@@ -213,10 +218,3 @@ def monomial_expansion(n: Sequence[int]) -> list[tuple[lattice.Vec, Rational]]:
     out.sort(key=lambda item: (lattice.height(item[0]), item[0]))
     return out
 
-
-def iter_image_x3(p_terms: dict[Exponent, int]) -> Iterator[tuple[Exponent, int]]:
-    """Stream (exponent, coefficient) pairs of 3*Delta applied to an
-    integer-coefficient polynomial given as a raw dict.  Internal fast path."""
-    for e, c in p_terms.items():
-        for t, k3 in image_x3(e).items():
-            yield t, c * k3

@@ -170,7 +170,11 @@ def weight_height(w: Sequence[int]) -> int:
 
 def weyl_dimension(m: Sequence[int]) -> int:
     """Dimension of the irreducible representation with highest weight m."""
-    m = _check_dominant(m)
+    return _weyl_dimension_cached(_check_dominant(m))
+
+
+@lru_cache(maxsize=4096)
+def _weyl_dimension_cached(m: Vec) -> int:
     num = 1
     for r in _POSITIVE_ROOTS:
         num *= height(r) + sum(c * mi for c, mi in zip(r, m))

@@ -274,7 +274,10 @@ def parse_polynomial(text: str) -> SparsePolynomial:
         if tok.startswith("z"):
             return SparsePolynomial.variable(int(tok[1]))
         if tok and (tok[0].isdigit()):
-            return SparsePolynomial.constant(coef_from_str(tok))
+            try:
+                return SparsePolynomial.constant(coef_from_str(tok))
+            except ZeroDivisionError:
+                raise PolynomialSyntaxError(f"zero denominator in {tok!r}") from None
         raise PolynomialSyntaxError(f"unexpected token {tok!r}")
 
     result = parse_sum()

@@ -171,8 +171,13 @@ def suite_duality() -> list[Check]:
             bad.append(w)
     checks.append(_check(f"conjugation equivariance on {len(weights)} characters",
                          not bad, "no mismatches", bad[:3]))
-    failures = [(i, j, k) for i in range(1, 7) for j in range(1, 7) for k in range(1, 7)
-                if not tensor.verify_orthogonality(i, j, k)]
+    # the identity of tensor.verify_orthogonality, read from the 36 products
+    # l_a x l_b decomposed once each (conj(l_i) is itself a fundamental)
+    funds = [lattice.fundamental_weight(k) for k in range(1, 7)]
+    series = {(a, b): tensor.tensor_decompose(a, b) for a in funds for b in funds}
+    failures = [(i, j, k) for (i, li), (j, lj), (k, lk) in iproduct(enumerate(funds, 1), repeat=3)
+                if series[li, lj].multiplicity(lk)
+                != series[lk, lattice.conjugate(li)].multiplicity(lj)]
     checks.append(_check("orthogonality identity on all 216 triples",
                          not failures, "no failures", failures[:3]))
     return checks

@@ -298,8 +298,7 @@ def test_rejects_negative_labels():
 def test_recursion_detects_eigenvalue_collision(monkeypatch):
     # collapse the spectrum seen by the recursion: every gap becomes zero
     shim = types.SimpleNamespace(image_x3=hamiltonian.image_x3,
-                                 eigenvalue_x3=lambda m: 0,
-                                 iter_image_x3=hamiltonian.iter_image_x3)
+                                 eigenvalue_x3=lambda m: 0)
     monkeypatch.setattr(characters, "hamiltonian", shim)
     with pytest.raises(ZeroDenominatorError):
         character_recursion((2, 0, 0, 0, 0, 0))
@@ -310,8 +309,25 @@ def test_annihilator_detects_degenerate_scale(monkeypatch):
     w = (2, 0, 0, 0, 0, 0)
     lead = hamiltonian.eigenvalue_x3(w)
     shim = types.SimpleNamespace(image_x3=hamiltonian.image_x3,
-                                 eigenvalue_x3=lambda m: lead,
-                                 iter_image_x3=hamiltonian.iter_image_x3)
+                                 eigenvalue_x3=lambda m: lead)
     monkeypatch.setattr(characters, "hamiltonian", shim)
     with pytest.raises(DegenerateScaleError):
         character_annihilator(w)
+
+
+def test_store_survives_cache_clear_between_write_and_rename(tmp_path, monkeypatch):
+    # `cache clear` deletes *.tmp files; a store whose file it took publishes nothing
+    monkeypatch.setenv(characters.CACHE_ENV, str(tmp_path))
+    characters.clear_memory_cache()
+    replace = characters.os.replace
+
+    def cleared_first(src, dst):
+        assert main(["cache", "clear"]) == 0
+        return replace(src, dst)
+
+    monkeypatch.setattr(characters.os, "replace", cleared_first)
+    try:
+        assert character((1, 0, 0, 0, 0, 1)).poly == parse_polynomial("z1*z6 - z2 - 1")
+        assert list(tmp_path.iterdir()) == []
+    finally:
+        characters.clear_memory_cache()

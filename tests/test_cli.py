@@ -133,10 +133,13 @@ def test_usage_errors_exit_2(capsys):
                  ("char", "-1,0,0,0,0,0"),
                  ("eig", "1,0,0,0,0,0", "--kappa=z"),
                  ("delta", "z1 +"),
+                 ("delta", "1/0"),
+                 ("delta", "z1 + 2/0"),
                  ("bogus",)]:
         with pytest.raises(SystemExit) as err:
             main(list(argv))
         assert err.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_computation_error_exits_1(capsys, tmp_path, monkeypatch, term_index):
@@ -189,6 +192,23 @@ def test_cache_admin(capsys, tmp_path, monkeypatch):
         assert code == 0 and "removed 1" in out
         code, out, _ = run(capsys, "cache", "info")
         assert "entries: 0" in out
+    finally:
+        characters.clear_memory_cache()
+
+
+def test_cache_clear_removes_interrupted_store_temporaries(capsys, tmp_path, monkeypatch):
+    # what _store leaves when it is killed between mkstemp and the rename
+    monkeypatch.setenv(characters.CACHE_ENV, str(tmp_path))
+    characters.clear_memory_cache()
+    try:
+        run(capsys, "char", "1,0,0,0,0,0")
+        leftover = tmp_path / "tmpk3x9q1.tmp"
+        leftover.write_text('{"weight": [1, 0')
+        code, out, _ = run(capsys, "cache", "clear")
+        assert code == 0
+        assert out.splitlines() == [f"removed 1 entries from {tmp_path}",
+                                    "removed 1 temporary files left by interrupted stores"]
+        assert list(tmp_path.iterdir()) == []
     finally:
         characters.clear_memory_cache()
 

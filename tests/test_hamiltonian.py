@@ -28,6 +28,16 @@ def test_eigenvalue_matches_inner_product_form(m, kappa):
     assert hamiltonian.eigenvalue(m, kappa) == 2 * lattice.inner_product(m, shifted)
 
 
+@given(small_weights)
+def test_eigenvalue_x3_memo_matches_exact_eigenvalue(m):
+    expect = 3 * hamiltonian.eigenvalue(m, 1)
+    for first, second in ((list(m), m), (m, list(m))):
+        hamiltonian._EPS3.pop(m, None)  # the first call computes, the second looks up
+        assert hamiltonian.eigenvalue_x3(first) == expect
+        assert hamiltonian.eigenvalue_x3(second) == expect
+        assert type(hamiltonian.eigenvalue_x3(second)) is int
+
+
 def test_energy():
     assert hamiltonian.energy((0,) * 6, 1) == (156, 156)
     assert hamiltonian.energy((0,) * 6, 0) == (0, 0)

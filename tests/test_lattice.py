@@ -89,6 +89,22 @@ def test_weyl_dimension_conjugation_invariance():
             assert lattice.weyl_dimension(m) == lattice.weyl_dimension(lattice.conjugate(m))
 
 
+@settings(max_examples=60)
+@given(st.tuples(*([st.integers(0, 3)] * 6)))
+def test_weyl_dimension_memo_matches_product_formula(m):
+    # Weyl's formula from scratch: prod over positive roots a of
+    # (m + rho, a) / (rho, a), with (l_i, a_j) = delta_ij
+    expect = Fraction(1)
+    for r in lattice.positive_roots():
+        expect *= Fraction(sum(c * (x + 1) for c, x in zip(r, m)), sum(r))
+    assert expect.denominator == 1
+    assert lattice.weyl_dimension(m) == expect  # first call may compute
+    assert lattice.weyl_dimension(list(m)) == expect  # repeat is a lookup
+    for bad in [(-1, 0, 0, 0, 0, 0), (0,) * 5, (0,) * 7]:
+        with pytest.raises(ValueError):
+            lattice.weyl_dimension(bad)
+
+
 def test_dominant_weights_below_candidate_table():
     got = lattice.dominant_weights_below((0, 0, 1, 1, 0, 0))
     assert got == [

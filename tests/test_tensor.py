@@ -1,6 +1,6 @@
 import pytest
 
-from e6cs import characters, golden, lattice, tensor
+from e6cs import characters, golden, lattice, tensor, verify
 from e6cs.errors import NegativeMultiplicityError, NonzeroResidualError
 from e6cs.characters import Character
 from e6cs.ring import parse_polynomial
@@ -87,6 +87,42 @@ def test_orthogonality_examples():
     assert verify_orthogonality(3, 5, 2)
     assert tensor_decompose(L(1), L(2)).multiplicity(L(5)) == 1
     assert tensor_decompose(L(5), L(6)).multiplicity(L(2)) == 1
+
+
+def _orthogonality_check(checks):
+    (check,) = [c for c in checks if c.name.startswith("orthogonality")]
+    return check
+
+
+def test_duality_suite_decomposes_each_fundamental_product_once(monkeypatch):
+    calls = []
+    decompose = tensor.tensor_decompose
+
+    def counted(m, n):
+        calls.append((tuple(m), tuple(n)))
+        return decompose(m, n)
+
+    monkeypatch.setattr(tensor, "tensor_decompose", counted)
+    check = _orthogonality_check(verify.suite_duality())
+    assert check.name == "orthogonality identity on all 216 triples" and check.ok
+    assert sorted(calls) == sorted((L(a), L(b)) for a in range(1, 7) for b in range(1, 7))
+
+
+def test_duality_suite_catches_a_wrong_multiplicity(monkeypatch):
+    decompose = tensor.tensor_decompose
+
+    def off_by_one(m, n):
+        series = decompose(m, n)
+        if (tuple(m), tuple(n)) == (L(1), L(6)):
+            terms = dict(series.terms)
+            terms[L(2)] += 1
+            return CGSeries(series.factors, terms)
+        return series
+
+    monkeypatch.setattr(tensor, "tensor_decompose", off_by_one)
+    check = _orthogonality_check(verify.suite_duality())
+    assert not check.ok
+    assert "(1, 6, 2)" in check.detail
 
 
 def test_series_z1_times_power_examples():
