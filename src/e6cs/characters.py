@@ -18,7 +18,7 @@ from itertools import chain
 from pathlib import Path
 
 from . import hamiltonian, lattice
-from .errors import (CacheCorruptError, DegenerateScaleError,
+from .errors import (CacheCorruptError, CacheDirectoryError, DegenerateScaleError,
                      InternalInconsistencyError, ZeroDenominatorError)
 from .ring import Exponent, SparsePolynomial, _norm, _wrap, coef_to_str
 
@@ -80,17 +80,10 @@ def character_annihilator(m) -> Character:
     z^m, then rescale the survivor to a monic leading term."""
     m = tuple(int(x) for x in m)
     poly: dict[Exponent, int] = {m: 1}
-    image = hamiltonian.image_x3
     for mu in lattice.dominant_weights_below(m):
         if mu == m:
             continue
-        # apply the factor 3*Delta - 3*eps(mu) in one pass
-        eps3 = hamiltonian.eigenvalue_x3(mu)
-        nxt = {e: -eps3 * c for e, c in poly.items()}
-        get = nxt.get
-        for e, c in poly.items():
-            for t, k3 in image(e).items():
-                nxt[t] = get(t, 0) + c * k3
+        nxt = hamiltonian.shifted_image_x3(poly, hamiltonian.eigenvalue_x3(mu))
         poly = {e: c for e, c in nxt.items() if c}
     lead = poly.get(m, 0)
     if not lead:
@@ -112,13 +105,7 @@ def validate_character(ch: Character) -> None:
     if any(type(c) is not int for c in terms.values()):
         raise InternalInconsistencyError(f"character of {w} has non-integer coefficients")
     # eigenfunction: (3*Delta - 3*eps) chi must vanish term by term
-    eps3 = hamiltonian.eigenvalue_x3(w)
-    image = hamiltonian.image_x3
-    acc = {e: -eps3 * c for e, c in terms.items()}
-    get = acc.get
-    for e, c in terms.items():
-        for t, k3 in image(e).items():
-            acc[t] = get(t, 0) + c * k3
+    acc = hamiltonian.shifted_image_x3(terms, hamiltonian.eigenvalue_x3(w))
     if any(acc.values()):
         t, r3 = next((t, r3) for t, r3 in acc.items() if r3)
         raise InternalInconsistencyError(
@@ -202,13 +189,21 @@ def decode_cache_entry(text: str) -> Character | None:
     return Character(tuple(weight), _wrap(terms), str(obj.get("method", "cache")))
 
 
+def _unusable(path: Path, exc: OSError) -> CacheDirectoryError:
+    """Blame the directory of the entry at path, not the entry."""
+    return CacheDirectoryError(f"unusable cache directory {path.parent}: {exc.strerror or exc}")
+
+
 def _store(ch: Character) -> None:
     path = cache_path(ch.weight)
-    path.parent.mkdir(parents=True, exist_ok=True)
     terms = ch.poly.terms
     entry = {"weight": list(ch.weight), "version": CACHE_VERSION, "method": ch.method,
              "exps": [x for e in terms for x in e], "coefs": list(terms.values())}
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    except OSError as exc:
+        raise _unusable(path, exc) from exc
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(json.dumps(entry, separators=(",", ":")))
@@ -232,6 +227,8 @@ def _load(m) -> Character | None:
     except FileNotFoundError:
         return None
     except (OSError, ValueError) as exc:
+        if isinstance(exc, OSError) and not path.parent.is_dir():  # not the entry's fault
+            raise _unusable(path, exc) from exc
         raise CacheCorruptError(f"unreadable cache entry {path}: {exc}") from exc
     if ch is None:
         return None

@@ -31,3 +31,7 @@ class NonzeroResidualError(E6CSError):
 
 class CacheCorruptError(E6CSError):
     """A cached character failed its invariants on reload."""
+
+
+class CacheDirectoryError(E6CSError):
+    """The cache directory cannot be read or written."""

@@ -189,15 +189,21 @@ def image_x3(exp: Sequence[int]) -> dict[Exponent, int]:
     return acc
 
 
+def shifted_image_x3(terms: dict[Exponent, Coef], eps3: int) -> dict[Exponent, Coef]:
+    """(3*Delta - eps3) applied to the polynomial with these terms, as a map
+    of exponent -> coefficient that may hold zeros."""
+    acc = {e: -eps3 * c for e, c in terms.items()}
+    get = acc.get
+    for e, c in terms.items():
+        for t, k3 in image_x3(e).items():  # the module attribute at call time
+            acc[t] = get(t, 0) + c * k3
+    return acc
+
+
 def apply_delta(p: SparsePolynomial) -> SparsePolynomial:
     """Apply the kappa=1 operator to a polynomial, exactly."""
-    acc: dict[Exponent, Coef] = {}
-    get = acc.get
-    for e, c in p.terms.items():
-        for t, k3 in image_x3(e).items():
-            acc[t] = get(t, 0) + c * k3
     third = Fraction(1, 3)
-    return SparsePolynomial({e: v * third for e, v in acc.items()})
+    return SparsePolynomial({e: v * third for e, v in shifted_image_x3(p.terms, 0).items()})
 
 
 def monomial_expansion(n: Sequence[int]) -> list[tuple[lattice.Vec, Rational]]:

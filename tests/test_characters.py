@@ -282,6 +282,19 @@ def test_cache_unparseable_file(tmp_path, monkeypatch):
         characters.clear_memory_cache()
 
 
+def test_unreadable_entry_in_a_usable_directory_is_corrupt(tmp_path, monkeypatch):
+    # the directory is fine, the entry is not: blame the entry
+    monkeypatch.setenv(characters.CACHE_ENV, str(tmp_path))
+    characters.clear_memory_cache()
+    try:
+        w = (0, 0, 0, 0, 1, 0)
+        characters.cache_path(w).mkdir()
+        with pytest.raises(CacheCorruptError, match="unreadable cache entry .*chi_0-0-0-0-1-0"):
+            character(w)
+    finally:
+        characters.clear_memory_cache()
+
+
 def test_character_json_serialization():
     ch = character((1, 0, 1, 0, 0, 0))
     again = characters.character_from_json(characters.character_to_json(ch))
@@ -298,6 +311,7 @@ def test_rejects_negative_labels():
 def test_recursion_detects_eigenvalue_collision(monkeypatch):
     # collapse the spectrum seen by the recursion: every gap becomes zero
     shim = types.SimpleNamespace(image_x3=hamiltonian.image_x3,
+                                 shifted_image_x3=hamiltonian.shifted_image_x3,
                                  eigenvalue_x3=lambda m: 0)
     monkeypatch.setattr(characters, "hamiltonian", shim)
     with pytest.raises(ZeroDenominatorError):
@@ -309,6 +323,7 @@ def test_annihilator_detects_degenerate_scale(monkeypatch):
     w = (2, 0, 0, 0, 0, 0)
     lead = hamiltonian.eigenvalue_x3(w)
     shim = types.SimpleNamespace(image_x3=hamiltonian.image_x3,
+                                 shifted_image_x3=hamiltonian.shifted_image_x3,
                                  eigenvalue_x3=lambda m: lead)
     monkeypatch.setattr(characters, "hamiltonian", shim)
     with pytest.raises(DegenerateScaleError):

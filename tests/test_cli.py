@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -167,6 +168,20 @@ def test_verify_roots_suite(capsys):
     assert "checks passed" in out
 
 
+def test_verify_all_output_is_pinned(capsys, tmp_path, monkeypatch):
+    # the stdout the benchmark's correctness gate holds every run to
+    monkeypatch.setenv(characters.CACHE_ENV, str(tmp_path))
+    characters.clear_memory_cache()
+    try:
+        code, out, _ = run(capsys, "verify", "--suite=all")
+    finally:
+        characters.clear_memory_cache()
+    assert code == 0
+    assert out.splitlines()[-1] == "474/474 checks passed"
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "99b3ce07bf2cd2c1c20487f1363cdbd23352d16ecd05dcb8e9502fd9921bc460"
+
+
 def test_verify_dims_suite_vacuous_on_empty_cache(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv(characters.CACHE_ENV, str(tmp_path))
     characters.clear_memory_cache()
@@ -223,3 +238,25 @@ def test_cache_validate_rejects_stray_file(capsys, tmp_path, monkeypatch):
         assert err.startswith("error:") and "chi_foo.json" in err
     finally:
         characters.clear_memory_cache()
+
+
+@pytest.mark.parametrize("argv", [["char", "1,0,0,0,0,0"],
+                                  ["tensor", "1,0,0,0,0,0", "0,0,0,0,0,1"]])
+@pytest.mark.parametrize("side", ["read", "write"])
+def test_unusable_cache_directory_is_named(capsys, tmp_path, monkeypatch, argv, side):
+    # read: a lookup below a regular file; write: a miss whose store cannot mkdir
+    (tmp_path / "file").write_text("")
+    if side == "read":
+        directory = tmp_path / "file" / "sub"
+    else:
+        directory = tmp_path / "dangling"
+        directory.symlink_to(tmp_path / "nowhere")
+    monkeypatch.setenv(characters.CACHE_ENV, str(directory))
+    characters.clear_memory_cache()
+    try:
+        code, out, err = run(capsys, *argv)
+    finally:
+        characters.clear_memory_cache()
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: unusable cache directory {directory}: ")
+    assert err.count("\n") == 1 and "chi_" not in err
