@@ -39,7 +39,7 @@ class Character:
 def character_recursion(m) -> Character:
     """Coefficient recursion: walk the support downward from the leading
     monomial, each coefficient fixed by the eigenvalue gap to the top."""
-    m = tuple(int(x) for x in m)
+    m = lattice._check_dominant(m)
     eps3 = hamiltonian.eigenvalue_x3(m)
     top_h = lattice.weight_height(m)
     coeffs: dict[Exponent, int] = {}
@@ -78,7 +78,7 @@ def character_recursion(m) -> Character:
 def character_annihilator(m) -> Character:
     """Annihilator product: kill every lower candidate eigenspace inside
     z^m, then rescale the survivor to a monic leading term."""
-    m = tuple(int(x) for x in m)
+    m = lattice._check_dominant(m)
     poly: dict[Exponent, int] = {m: 1}
     for mu in lattice.dominant_weights_below(m):
         if mu == m:
@@ -251,9 +251,7 @@ def clear_memory_cache() -> None:
 
 def character(m, method: str = "recursion") -> Character:
     """Cache-first character lookup; computes, validates and persists on miss."""
-    m = tuple(int(x) for x in m)
-    if any(x < 0 for x in m):
-        raise ValueError(f"not a dominant weight: {m}")
+    m = lattice._check_dominant(m)
     hit = _MEMORY.get(m)
     if hit is not None:
         return hit

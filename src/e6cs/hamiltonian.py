@@ -9,10 +9,14 @@ table gives the common value of each symmetric pair A[j,k] = A[k,j].  Every
 coefficient has denominator dividing 3, so the hot kernel works with the
 integer-valued operator 3*Delta and divides once at the surface.
 
-The table data ships as a JSON resource; loading re-derives nothing but
-checks the two cheap structural invariants (first-order coefficients are
-eigenvalue multiples of z_j, and every induced monomial shift lies in the
-root lattice), which would catch any corruption of the data file.
+The table data ships as a JSON resource, parsed once into one integer kernel
+that holds the second- and first-order terms alike.  Loading re-derives
+nothing, but checks six invariants that would catch any corruption of the
+data file: every record kind is a or b; the records are exactly the 21 pairs
+j <= k and the 6 first-order entries; every exponent is six non-negative
+integers; every coefficient times 3 is an integer; each first-order entry
+is eigenvalue(l_j) z_j; and every monomial shift lies in the root lattice.
+The spectrum 2(m, m + 2*kappa*rho) comes from the lattice's bilinear form.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from importlib import resources
 from typing import Sequence, Union
 
 from . import lattice
-from .errors import InternalInconsistencyError, NonIntegralError
+from .errors import InternalInconsistencyError
 from .ring import Coef, Exponent, SparsePolynomial, _norm
 
 Rational = Union[int, Fraction]
@@ -34,7 +38,7 @@ def eigenvalue(m: Sequence[int], kappa: Rational = 1) -> Rational:
 
     Equals 2(l, l + 2*kappa*rho) for the weight l with Dynkin labels m.
     """
-    return _norm(Fraction(2 * _quad3(m) + 4 * kappa * _lin3(m), 3))
+    return _norm(Fraction(2 * lattice.form_x3(m, [x + 2 * kappa for x in m]), 3))
 
 
 def eigenvalue_x3(m: Sequence[int]) -> int:
@@ -42,24 +46,8 @@ def eigenvalue_x3(m: Sequence[int]) -> int:
     m = tuple(m)
     eps3 = _EPS3.get(m)
     if eps3 is None:
-        eps3 = _EPS3[m] = 2 * _quad3(m) + 4 * _lin3(m)
+        eps3 = _EPS3[m] = 2 * lattice.form_x3(m, [x + 2 for x in m])
     return eps3
-
-
-def _quad3(m: Sequence[int]) -> int:
-    inv3 = lattice.CARTAN_INVERSE_X3
-    total = 0
-    for j in range(6):
-        mj = m[j]
-        if mj:
-            row = inv3[j]
-            total += mj * sum(row[k] * m[k] for k in range(6))
-    return total
-
-
-def _lin3(m: Sequence[int]) -> int:
-    heights = lattice.WEIGHT_HEIGHTS
-    return 3 * sum(h * x for h, x in zip(heights, m))
 
 
 def energy(m: Sequence[int], kappa: Rational = 1) -> tuple[Rational, Rational]:
@@ -73,78 +61,71 @@ def energy(m: Sequence[int], kappa: Rational = 1) -> tuple[Rational, Rational]:
 
 
 # ---------------------------------------------------------------------------
-# Coefficient tables
+# Coefficient tables as one integer kernel
 # ---------------------------------------------------------------------------
-class OperatorTables:
-    """The 21 symmetric second-order and 6 first-order coefficient polynomials."""
+# One entry (j, k, same, terms) per record, terms being (offset, coefficient)
+# pairs of 3*Delta.  On z^n, with n extended by a seventh exponent fixed at 1,
+# each term adds coefficient * n_j * (n_k - same) at n + offset.  A[j,k] is
+# the pair (j, k), its coefficient doubled off the diagonal; B[j] is the pair
+# (j, 7).  Each offset absorbs the exponent drop of the derivatives.
+Kernel = list[tuple[int, int, int, list[tuple[Exponent, int]]]]
 
-    def __init__(self, quadratic: dict[tuple[int, int], SparsePolynomial],
-                 linear: dict[int, SparsePolynomial]):
-        self.quadratic = quadratic
-        self.linear = linear
-        # integer kernel: per (j,k) the terms of 3*a_jk as (offset, coef) where
-        # offset already absorbs the exponent drop from d_j d_k
-        self._quad_kernel: list[tuple[int, int, list[tuple[Exponent, int]]]] = []
-        for (j, k), poly in sorted(quadratic.items()):
-            drop = tuple(-int(i == j - 1) - int(i == k - 1) for i in range(6))
-            terms = []
-            for e, c in poly.terms.items():
-                c3 = 3 * Fraction(c)
-                if c3.denominator != 1:
-                    raise InternalInconsistencyError("table coefficient denominator exceeds 3")
-                terms.append((tuple(a + b for a, b in zip(e, drop)), int(c3)))
-            self._quad_kernel.append((j - 1, k - 1, terms))
-        self._lin_kernel: list[tuple[int, list[tuple[Exponent, int]]]] = []
-        for j, poly in sorted(linear.items()):
-            drop = tuple(-int(i == j - 1) for i in range(6))
-            terms = []
-            for e, c in poly.terms.items():
-                c3 = 3 * Fraction(c)
-                if c3.denominator != 1:
-                    raise InternalInconsistencyError("table coefficient denominator exceeds 3")
-                terms.append((tuple(a + b for a, b in zip(e, drop)), int(c3)))
-            self._lin_kernel.append((j - 1, terms))
-        self._validate()
+_RECORD_KEYS = ([("a", (j, k)) for j in range(1, 7) for k in range(j, 7)]
+                + [("b", (j,)) for j in range(1, 7)])
 
-    def _validate(self) -> None:
-        if sorted(self.quadratic) != [(j, k) for j in range(1, 7) for k in range(j, 7)]:
-            raise InternalInconsistencyError("quadratic table index set is wrong")
-        if sorted(self.linear) != list(range(1, 7)):
-            raise InternalInconsistencyError("linear table index set is wrong")
-        for j in range(1, 7):
-            lj = lattice.fundamental_weight(j)
-            expected = SparsePolynomial.monomial(lj, eigenvalue(lj, 1))
-            if self.linear[j] != expected:
+
+def parse_tables(records: Sequence[dict]) -> Kernel:
+    """The integer kernel of the operator from the records of
+    operator_tables.json, with the six load checks of the module docstring.
+
+    A failed check raises InternalInconsistencyError, except a shift outside
+    the root lattice, which raises NonIntegralError.
+    """
+    parsed = []
+    for rec in records:
+        kind, idx = rec["kind"], tuple(rec["indices"])
+        if kind not in ("a", "b"):
+            raise InternalInconsistencyError(f"unknown table record kind {kind!r}")
+        terms: dict[Exponent, int] = {}
+        for t in rec["terms"]:
+            e = tuple(t["exp"])
+            if len(e) != 6 or any(type(x) is not int or x < 0 for x in e):
+                raise InternalInconsistencyError(f"table record {kind}{list(idx)}: bad exponent {e}")
+            c3 = 3 * Fraction(t["coef"])
+            if c3.denominator != 1:
                 raise InternalInconsistencyError(
-                    f"first-order coefficient {j} is not the eigenvalue multiple of z{j}")
-        # every monomial shift must live in the root lattice
-        for _, _, terms in self._quad_kernel:
-            for off, _ in terms:
-                lattice.to_root_basis(tuple(-x for x in off))
-        for _, terms in self._lin_kernel:
-            for off, _ in terms:
-                lattice.to_root_basis(tuple(-x for x in off))
+                    f"table record {kind}{list(idx)}: denominator of {t['coef']} exceeds 3")
+            terms[e] = terms.get(e, 0) + int(c3)
+        parsed.append((kind, idx, {e: c for e, c in terms.items() if c}))
+    parsed.sort(key=lambda rec: rec[:2])
+    if [rec[:2] for rec in parsed] != _RECORD_KEYS:
+        raise InternalInconsistencyError("operator table index set is wrong")
+    kernel: Kernel = []
+    for kind, idx, terms in parsed:
+        j, k = idx if kind == "a" else (idx[0], 7)
+        lj = lattice.fundamental_weight(j)
+        if kind == "b" and terms != {lj: eigenvalue_x3(lj)}:
+            raise InternalInconsistencyError(
+                f"first-order coefficient {j} is not the eigenvalue multiple of z{j}")
+        scale = 1 if kind == "b" or j == k else 2
+        entries = []
+        for e, c in terms.items():
+            off = tuple(x - (i == j - 1) - (i == k - 1) for i, x in enumerate(e))
+            lattice.to_root_basis(tuple(-x for x in off))  # raises off the root lattice
+            entries.append((off, scale * c))
+        kernel.append((j - 1, k - 1, int(j == k), entries))
+    return kernel
 
 
-_TABLES: OperatorTables | None = None
+_TABLES: Kernel | None = None
 
 
-def tables() -> OperatorTables:
+def tables() -> Kernel:
+    """The kernel of the shipped operator_tables.json, parsed once."""
     global _TABLES
     if _TABLES is None:
-        raw = json.loads(resources.files("e6cs.data").joinpath("operator_tables.json").read_text())
-        quadratic: dict[tuple[int, int], SparsePolynomial] = {}
-        linear: dict[int, SparsePolynomial] = {}
-        for rec in raw:
-            poly = SparsePolynomial.from_records(rec["terms"])
-            if rec["kind"] == "a":
-                j, k = rec["indices"]
-                quadratic[(j, k)] = poly
-            elif rec["kind"] == "b":
-                linear[rec["indices"][0]] = poly
-            else:
-                raise InternalInconsistencyError(f"unknown table record kind {rec['kind']!r}")
-        _TABLES = OperatorTables(quadratic, linear)
+        path = resources.files("e6cs.data").joinpath("operator_tables.json")
+        _TABLES = parse_tables(json.loads(path.read_text()))
     return _TABLES
 
 
@@ -161,20 +142,11 @@ def image_x3(exp: Sequence[int]) -> dict[Exponent, int]:
     cached = _IMAGE3.get(exp)
     if cached is not None:
         return cached
-    tbl = tables()
+    n = exp + (1,)  # the seventh exponent of the first-order entries
     acc: dict[Exponent, int] = {}
     get = acc.get
-    for j, k, terms in tbl._quad_kernel:
-        nj = exp[j]
-        f = nj * (nj - 1) if j == k else 2 * nj * exp[k]
-        if not f:
-            continue
-        for off, c in terms:
-            e = (exp[0] + off[0], exp[1] + off[1], exp[2] + off[2],
-                 exp[3] + off[3], exp[4] + off[4], exp[5] + off[5])
-            acc[e] = get(e, 0) + f * c
-    for j, terms in tbl._lin_kernel:
-        f = exp[j]
+    for j, k, same, terms in tables():
+        f = n[j] * (n[k] - same)
         if not f:
             continue
         for off, c in terms:
@@ -214,9 +186,7 @@ def monomial_expansion(n: Sequence[int]) -> list[tuple[lattice.Vec, Rational]]:
     exponent differs from n outside the root lattice, which would signal a
     corrupted coefficient table.
     """
-    n = tuple(int(x) for x in n)
-    if any(x < 0 for x in n):
-        raise ValueError(f"not a monomial exponent: {n}")
+    n = lattice._check_dominant(n)
     out = []
     for t, c3 in image_x3(n).items():
         shift = lattice.to_root_basis(tuple(a - b for a, b in zip(n, t)))

@@ -151,10 +151,14 @@ def from_root_basis(v: Sequence[int]) -> Vec:
     return tuple(sum(CARTAN[i][j] * v[j] for j in range(6)) for i in range(6))
 
 
+def form_x3(u: Sequence[int], v: Sequence[int]) -> int:
+    """3 * (u, v) for weight-basis vectors, an integer for integral ones."""
+    return sum(CARTAN_INVERSE_X3[i][j] * u[i] * v[j] for i in range(6) for j in range(6))
+
+
 def inner_product(u: Sequence[int], v: Sequence[int]) -> Fraction:
     """Bilinear form on the weight lattice, (l_i, l_j) being the inverse Cartan."""
-    num = sum(CARTAN_INVERSE_X3[i][j] * u[i] * v[j] for i in range(6) for j in range(6))
-    return Fraction(num, 3)
+    return Fraction(form_x3(u, v), 3)
 
 
 def weight_height(w: Sequence[int]) -> int:

@@ -82,14 +82,7 @@ class SparsePolynomial:
         return _wrap(out)
 
     def __sub__(self, other: "SparsePolynomial") -> "SparsePolynomial":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = _norm(out.get(e, 0) - c)
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return _wrap(out)
+        return self + -other
 
     def __neg__(self) -> "SparsePolynomial":
         return _wrap({e: -c for e, c in self.terms.items()})

@@ -100,17 +100,14 @@ def _check_series(series: CGSeries) -> None:
 
 def tensor_decompose(m: Sequence[int], n: Sequence[int]) -> CGSeries:
     """Decompose the product of the irreducibles labelled m and n."""
-    m = tuple(int(x) for x in m)
-    n = tuple(int(x) for x in n)
+    m, n = lattice._check_dominant(m), lattice._check_dominant(n)
     product = character(m).poly * character(n).poly
     return _peel(product, (m, n))
 
 
 def monomial_decompose(exp: Sequence[int]) -> CGSeries:
     """Decompose the bare monomial z^exp, read as a product of fundamentals."""
-    exp = tuple(int(x) for x in exp)
-    if any(x < 0 for x in exp):
-        raise ValueError(f"not a monomial exponent: {exp}")
+    exp = lattice._check_dominant(exp)
     factors: list[lattice.Vec] = []
     for idx, p in enumerate(exp):
         factors.extend([lattice.fundamental_weight(idx + 1)] * p)

@@ -12,6 +12,7 @@ from e6cs.cli import main
 from e6cs.errors import (CacheCorruptError, DegenerateScaleError,
                          InternalInconsistencyError, ZeroDenominatorError)
 from e6cs.ring import SparsePolynomial, parse_polynomial
+from e6cs.tensor import monomial_decompose, tensor_decompose
 
 
 def test_recursion_examples():
@@ -306,6 +307,15 @@ def test_character_json_serialization():
 def test_rejects_negative_labels():
     with pytest.raises(ValueError):
         character((-1, 0, 0, 0, 0, 0))
+    # weights of the wrong length are named as bad input, not blamed on the data
+    entry_points = [character, character_recursion, character_annihilator,
+                    lambda w: tensor_decompose(w, (1, 0, 0, 0, 0, 0)),
+                    lambda w: tensor_decompose((1, 0, 0, 0, 0, 0), w),
+                    monomial_decompose, hamiltonian.monomial_expansion]
+    for w in ((1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0), (0, 0, -1, 0, 0, 0)):
+        for entry in entry_points:
+            with pytest.raises(ValueError, match=re.escape(str(w))):
+                entry(w)
 
 
 def test_recursion_detects_eigenvalue_collision(monkeypatch):

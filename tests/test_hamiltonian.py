@@ -1,10 +1,15 @@
+import json
+import re
 from fractions import Fraction
+from importlib import resources
 from itertools import product
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from e6cs import hamiltonian, lattice
+from e6cs.errors import InternalInconsistencyError, NonIntegralError
 from e6cs.ring import SparsePolynomial, parse_polynomial
 
 small_weights = st.tuples(*([st.integers(0, 2)] * 6))
@@ -106,3 +111,50 @@ def test_eigenvalue_strictly_increasing_along_dominance():
         for mu in lattice.dominant_weights_below(m):
             if mu != m:
                 assert hamiltonian.eigenvalue(mu, 1) < eps_m
+
+
+def _table_records():
+    return json.loads(resources.files("e6cs.data").joinpath("operator_tables.json").read_text())
+
+
+def test_kernel_matches_operator_built_from_the_records():
+    # 3 * (sum over ordered j, k of A[j,k] d_j d_k + sum_j B[j] d_j) z^n,
+    # built with the ring's own calculus, independently of the kernel layout
+    coef = {(r["kind"], tuple(r["indices"])): SparsePolynomial.from_records(r["terms"])
+            for r in _table_records()}
+    exps = [n for n in product(range(5), repeat=6) if sum(n) <= 4]
+    assert len(exps) == 210
+    for n in exps:
+        z = SparsePolynomial.monomial(n)
+        total = SparsePolynomial.zero()
+        for j in range(1, 7):
+            dj = z.partial_derivative(j)
+            total = total + coef["b", (j,)] * dj
+            for k in range(1, 7):
+                total = total + coef["a", (min(j, k), max(j, k))] * dj.partial_derivative(k)
+        assert total.scaled(3) == SparsePolynomial(hamiltonian.image_x3(n)), n
+
+
+def _set_coef(records, kind, indices, coef):
+    rec = next(r for r in records if r["kind"] == kind and r["indices"] == indices)
+    rec["terms"][0]["coef"] = coef
+
+
+@pytest.mark.parametrize("corrupt, error, fault", [
+    (lambda recs: recs[0].update(kind="c"), InternalInconsistencyError, "unknown table record kind 'c'"),
+    (lambda recs: recs.pop(7), InternalInconsistencyError, "index set is wrong"),
+    (lambda recs: _set_coef(recs, "a", [2, 4], "1/9"), InternalInconsistencyError,
+     "denominator of 1/9 exceeds 3"),
+    (lambda recs: _set_coef(recs, "b", [3], "203/3"), InternalInconsistencyError,
+     "first-order coefficient 3 is not the eigenvalue multiple of z3"),
+    (lambda recs: recs[0]["terms"][0].update(exp=[1, 0, 0, 0, 0, 0]), NonIntegralError,
+     "not in the root lattice"),
+    (lambda recs: recs[0]["terms"][0].update(exp=[2, 0, 0, 0, 0]), InternalInconsistencyError,
+     "bad exponent (2, 0, 0, 0, 0)"),
+])
+def test_table_loader_rejects_corrupt_records(corrupt, error, fault):
+    assert hamiltonian.parse_tables(_table_records()) == hamiltonian.tables()
+    records = _table_records()
+    corrupt(records)
+    with pytest.raises(error, match=re.escape(fault)):
+        hamiltonian.parse_tables(records)
