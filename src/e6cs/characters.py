@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import chain
+from math import prod
 from pathlib import Path
 
 from . import hamiltonian, lattice
@@ -40,17 +41,20 @@ def character_recursion(m) -> Character:
     """Coefficient recursion: walk the support downward from the leading
     monomial, each coefficient fixed by the eigenvalue gap to the top."""
     m = lattice._check_dominant(m)
+    index = hamiltonian.exponent_index()
+    exps, heights = index.exps, index.heights
     eps3 = hamiltonian.eigenvalue_x3(m)
-    top_h = lattice.weight_height(m)
+    top = index.id(m)
+    top_h = heights[top]
     coeffs: dict[Exponent, int] = {}
-    pending: dict[Exponent, int] = {m: 0}  # scaled contributions (x3)
-    heap: list[tuple[int, Exponent]] = [(0, m)]
+    pending: dict[int, int] = {top: 0}  # scaled contributions (x3), by id
+    heap: list[tuple[int, Exponent, int]] = [(0, m, top)]  # (drop, exponent, id)
     while heap:
-        _, e = heappop(heap)
-        contrib = pending.pop(e, None)
+        _, e, i = heappop(heap)
+        contrib = pending.pop(i, None)
         if contrib is None:
             continue  # cancelled out entirely before being processed
-        if e == m:
+        if i == top:
             c = 1
         else:
             gap = eps3 - hamiltonian.eigenvalue_x3(e)
@@ -64,14 +68,15 @@ def character_recursion(m) -> Character:
             if not c:
                 continue
         coeffs[e] = c
-        for t, k3 in hamiltonian.image_x3(e).items():
-            if t == e:
+        targets, k3s = index.row(i)
+        for t, k3 in zip(targets, k3s):
+            if t == i:
                 continue
             if t in pending:
                 pending[t] += c * k3
             else:
                 pending[t] = c * k3
-                heappush(heap, (top_h - lattice.weight_height(t), t))
+                heappush(heap, (top_h - heights[t], exps[t], t))
     return Character(m, SparsePolynomial(coeffs), "recursion")
 
 
@@ -97,6 +102,23 @@ def character_annihilator(m) -> Character:
     return Character(m, SparsePolynomial(scaled), "annihilator")
 
 
+# value of each monomial at a point, by point: the dimension check's memo
+_MONOMIAL_VALUES: dict[tuple[int, ...], dict[Exponent, int]] = {}
+
+
+def _dimension(terms: dict[Exponent, int]) -> int:
+    """The integer polynomial with these terms at FUNDAMENTAL_DIMENSIONS."""
+    point = FUNDAMENTAL_DIMENSIONS
+    values = _MONOMIAL_VALUES.setdefault(point, {})
+    total = 0
+    for e, c in terms.items():
+        v = values.get(e)
+        if v is None:
+            v = values[e] = prod(b ** x for b, x in zip(point, e))
+        total += c * v
+    return total
+
+
 def validate_character(ch: Character) -> None:
     """Check the four structural invariants; raise on any violation."""
     w, terms = ch.weight, ch.poly.terms
@@ -111,7 +133,7 @@ def validate_character(ch: Character) -> None:
         raise InternalInconsistencyError(
             f"character of {w} is not an eigenfunction: (Delta - eps) chi has "
             f"residual {coef_to_str(Fraction(r3, 3))} at exponent {t}")
-    got, expect = ch.poly.evaluate(FUNDAMENTAL_DIMENSIONS), lattice.weyl_dimension(w)
+    got, expect = _dimension(terms), lattice.weyl_dimension(w)
     if got != expect:
         raise InternalInconsistencyError(
             f"character of {w} evaluates to {got}, expected the Weyl dimension {expect}")

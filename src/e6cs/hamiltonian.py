@@ -17,6 +17,15 @@ j <= k and the 6 first-order entries; every exponent is six non-negative
 integers; every coefficient times 3 is an integer; each first-order entry
 is eigenvalue(l_j) z_j; and every monomial shift lies in the root lattice.
 The spectrum 2(m, m + 2*kappa*rho) comes from the lattice's bilinear form.
+
+The first time the operator meets an exponent, an ExponentIndex gives it a
+small integer id.  Indexed by that id, the index holds the exponent, its
+weight height, 3 times its eigenvalue and its row: the image under 3*Delta
+as a tuple of target ids and a tuple of integer coefficients.  The row is
+built once from the kernel, with a check that its diagonal coefficient is
+the eigenvalue.  The hot loops (the character recursion, the eigenfunction
+check and the annihilator) run over ids and map back to exponents at the
+end; image_x3 is the exponent-keyed view of one row.
 """
 
 from __future__ import annotations
@@ -38,21 +47,20 @@ def eigenvalue(m: Sequence[int], kappa: Rational = 1) -> Rational:
 
     Equals 2(l, l + 2*kappa*rho) for the weight l with Dynkin labels m.
     """
+    m = lattice.check_length(m)
     return _norm(Fraction(2 * lattice.form_x3(m, [x + 2 * kappa for x in m]), 3))
 
 
 def eigenvalue_x3(m: Sequence[int]) -> int:
     """3 * eigenvalue(m, 1) as a plain int, for the integer kernel."""
-    m = tuple(m)
-    eps3 = _EPS3.get(m)
-    if eps3 is None:
-        eps3 = _EPS3[m] = 2 * lattice.form_x3(m, [x + 2 for x in m])
-    return eps3
+    index = _INDEX
+    return index.eps3[index.id(tuple(m))]
 
 
 def energy(m: Sequence[int], kappa: Rational = 1) -> tuple[Rational, Rational]:
     """(total, ground-state) energy at coupling kappa; total - ground is the
     eigenvalue above."""
+    m = lattice.check_length(m)
     rho = (1, 1, 1, 1, 1, 1)
     ground = 2 * kappa * kappa * lattice.inner_product(rho, rho)
     shifted = tuple(x + kappa for x in m)
@@ -130,46 +138,94 @@ def tables() -> Kernel:
 
 
 # ---------------------------------------------------------------------------
-# Integer kernel: memoized image of each monomial under 3*Delta
+# Exponent index: everything about an exponent, under a small integer id
 # ---------------------------------------------------------------------------
-_IMAGE3: dict[Exponent, dict[Exponent, int]] = {}
-_EPS3: dict[Exponent, int] = {}  # eigenvalue_x3 per exponent
+Row = tuple[tuple[int, ...], tuple[int, ...]]  # target ids, coefficients
+
+
+class ExponentIndex:
+    """Every exponent met so far, numbered 0, 1, 2, ... in order of first
+    sight, with its height, 3 * eigenvalue and row under 3*Delta by id.
+    Rows keep the order in which the kernel produces their terms."""
+
+    def __init__(self) -> None:
+        self.ids: dict[Exponent, int] = {}
+        self.exps: list[Exponent] = []
+        self.heights: list[int] = []
+        self.eps3: list[int] = []
+        self.rows: list[Row | None] = []
+
+    def id(self, exp: Exponent) -> int:
+        """The id of exp, registering it on first sight."""
+        i = self.ids.get(exp)
+        if i is None:
+            exp = lattice.check_length(exp)
+            i = self.ids[exp] = len(self.exps)
+            self.exps.append(exp)
+            self.heights.append(lattice.weight_height(exp))
+            self.eps3.append(2 * lattice.form_x3(exp, [x + 2 for x in exp]))
+            self.rows.append(None)
+        return i
+
+    def row(self, i: int) -> Row:
+        """The row of id i, built from the kernel on first use."""
+        row = self.rows[i]
+        if row is None:
+            row = self.rows[i] = self._build_row(i)
+        return row
+
+    def _build_row(self, i: int) -> Row:
+        exp = self.exps[i]
+        n = exp + (1,)  # the seventh exponent of the first-order entries
+        acc: dict[Exponent, int] = {}
+        get = acc.get
+        for j, k, same, terms in tables():
+            f = n[j] * (n[k] - same)
+            if not f:
+                continue
+            for off, c in terms:
+                e = (exp[0] + off[0], exp[1] + off[1], exp[2] + off[2],
+                     exp[3] + off[3], exp[4] + off[4], exp[5] + off[5])
+                acc[e] = get(e, 0) + f * c
+        if acc.get(exp, 0) != self.eps3[i]:
+            raise InternalInconsistencyError(
+                f"diagonal coefficient of Delta z^{exp} disagrees with the eigenvalue formula")
+        image = [(self.id(e), c) for e, c in acc.items() if c]
+        return tuple(t for t, _ in image), tuple(c for _, c in image)
+
+
+_INDEX = ExponentIndex()
+
+
+def exponent_index() -> ExponentIndex:
+    """The process-wide exponent index."""
+    return _INDEX
 
 
 def image_x3(exp: Sequence[int]) -> dict[Exponent, int]:
     """3 * Delta z^exp as a map of exponent -> integer coefficient."""
-    exp = tuple(exp)
-    cached = _IMAGE3.get(exp)
-    if cached is not None:
-        return cached
-    n = exp + (1,)  # the seventh exponent of the first-order entries
-    acc: dict[Exponent, int] = {}
-    get = acc.get
-    for j, k, same, terms in tables():
-        f = n[j] * (n[k] - same)
-        if not f:
-            continue
-        for off, c in terms:
-            e = (exp[0] + off[0], exp[1] + off[1], exp[2] + off[2],
-                 exp[3] + off[3], exp[4] + off[4], exp[5] + off[5])
-            acc[e] = get(e, 0) + f * c
-    acc = {e: c for e, c in acc.items() if c}
-    if acc.get(exp, 0) != eigenvalue_x3(exp):
-        raise InternalInconsistencyError(
-            f"diagonal coefficient of Delta z^{exp} disagrees with the eigenvalue formula")
-    _IMAGE3[exp] = acc
-    return acc
+    index = _INDEX
+    targets, coefs = index.row(index.id(tuple(exp)))
+    exps = index.exps
+    return {exps[t]: c for t, c in zip(targets, coefs)}
 
 
 def shifted_image_x3(terms: dict[Exponent, Coef], eps3: int) -> dict[Exponent, Coef]:
     """(3*Delta - eps3) applied to the polynomial with these terms, as a map
     of exponent -> coefficient that may hold zeros."""
-    acc = {e: -eps3 * c for e, c in terms.items()}
-    get = acc.get
+    index = _INDEX
+    acc: dict[int, Coef] = {}
+    images = []
     for e, c in terms.items():
-        for t, k3 in image_x3(e).items():  # the module attribute at call time
+        i = index.id(e)
+        acc[i] = -eps3 * c
+        images.append((c, index.row(i)))
+    get = acc.get
+    for c, (targets, coefs) in images:
+        for t, k3 in zip(targets, coefs):
             acc[t] = get(t, 0) + c * k3
-    return acc
+    exps = index.exps
+    return {exps[i]: r for i, r in acc.items()}
 
 
 def apply_delta(p: SparsePolynomial) -> SparsePolynomial:

@@ -158,7 +158,7 @@ def form_x3(u: Sequence[int], v: Sequence[int]) -> int:
 
 def inner_product(u: Sequence[int], v: Sequence[int]) -> Fraction:
     """Bilinear form on the weight lattice, (l_i, l_j) being the inverse Cartan."""
-    return Fraction(form_x3(u, v), 3)
+    return Fraction(form_x3(check_length(u), check_length(v)), 3)
 
 
 def weight_height(w: Sequence[int]) -> int:
@@ -188,9 +188,17 @@ def _weyl_dimension_cached(m: Vec) -> int:
     return q
 
 
+def check_length(v: Sequence) -> tuple:
+    """v as a tuple of six labels, of any sign or type; ValueError otherwise."""
+    v = tuple(v)
+    if len(v) != 6:
+        raise ValueError(f"not a vector of six labels: {v}")
+    return v
+
+
 def _check_dominant(m: Sequence[int]) -> Vec:
-    m = tuple(int(x) for x in m)
-    if len(m) != 6 or any(x < 0 for x in m):
+    m = check_length(int(x) for x in m)
+    if any(x < 0 for x in m):
         raise ValueError(f"not a dominant weight: {m}")
     return m
 

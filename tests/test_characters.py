@@ -322,6 +322,7 @@ def test_recursion_detects_eigenvalue_collision(monkeypatch):
     # collapse the spectrum seen by the recursion: every gap becomes zero
     shim = types.SimpleNamespace(image_x3=hamiltonian.image_x3,
                                  shifted_image_x3=hamiltonian.shifted_image_x3,
+                                 exponent_index=hamiltonian.exponent_index,
                                  eigenvalue_x3=lambda m: 0)
     monkeypatch.setattr(characters, "hamiltonian", shim)
     with pytest.raises(ZeroDenominatorError):

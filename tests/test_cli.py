@@ -182,6 +182,24 @@ def test_verify_all_output_is_pinned(capsys, tmp_path, monkeypatch):
         "99b3ce07bf2cd2c1c20487f1363cdbd23352d16ecd05dcb8e9502fd9921bc460"
 
 
+def test_cache_entries_written_by_a_cold_job_are_pinned(capsys, tmp_path, monkeypatch):
+    # the recursion's term order reaches the cache files byte for byte
+    monkeypatch.setenv(characters.CACHE_ENV, str(tmp_path))
+    characters.clear_memory_cache()
+    try:
+        code, _, _ = run(capsys, "monomial", "0,0,1,1,0,0")
+    finally:
+        characters.clear_memory_cache()
+    assert code == 0
+    digest = hashlib.sha256()
+    entries = sorted(tmp_path.glob("chi_*.json"))
+    for path in entries:
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    assert len(entries) == 14
+    assert digest.hexdigest() == \
+        "ebc86e4a5611ec4acc06b2846666b3ffb19d64b389bdb5b7063ada70e4b2696b"
+
+
 def test_verify_dims_suite_vacuous_on_empty_cache(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv(characters.CACHE_ENV, str(tmp_path))
     characters.clear_memory_cache()

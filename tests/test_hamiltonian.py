@@ -1,11 +1,13 @@
 import json
 import re
+from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from e6cs import hamiltonian, lattice
@@ -14,6 +16,17 @@ from e6cs.ring import SparsePolynomial, parse_polynomial
 
 small_weights = st.tuples(*([st.integers(0, 2)] * 6))
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@contextmanager
+def fresh_index():
+    """Run the operator on an empty exponent index, then restore the old one."""
+    saved = hamiltonian._INDEX
+    hamiltonian._INDEX = hamiltonian.ExponentIndex()
+    try:
+        yield hamiltonian._INDEX
+    finally:
+        hamiltonian._INDEX = saved
 
 
 def test_eigenvalue_fundamentals():
@@ -37,10 +50,11 @@ def test_eigenvalue_matches_inner_product_form(m, kappa):
 def test_eigenvalue_x3_memo_matches_exact_eigenvalue(m):
     expect = 3 * hamiltonian.eigenvalue(m, 1)
     for first, second in ((list(m), m), (m, list(m))):
-        hamiltonian._EPS3.pop(m, None)  # the first call computes, the second looks up
-        assert hamiltonian.eigenvalue_x3(first) == expect
-        assert hamiltonian.eigenvalue_x3(second) == expect
-        assert type(hamiltonian.eigenvalue_x3(second)) is int
+        with fresh_index() as index:  # the first call computes, the second looks up
+            assert hamiltonian.eigenvalue_x3(first) == expect
+            assert hamiltonian.eigenvalue_x3(second) == expect
+            assert type(hamiltonian.eigenvalue_x3(second)) is int
+            assert index.exps == [m]
 
 
 def test_energy():
@@ -117,22 +131,93 @@ def _table_records():
     return json.loads(resources.files("e6cs.data").joinpath("operator_tables.json").read_text())
 
 
-def test_kernel_matches_operator_built_from_the_records():
-    # 3 * (sum over ordered j, k of A[j,k] d_j d_k + sum_j B[j] d_j) z^n,
-    # built with the ring's own calculus, independently of the kernel layout
-    coef = {(r["kind"], tuple(r["indices"])): SparsePolynomial.from_records(r["terms"])
+@cache
+def _record_polynomials():
+    return {(r["kind"], tuple(r["indices"])): SparsePolynomial.from_records(r["terms"])
             for r in _table_records()}
-    exps = [n for n in product(range(5), repeat=6) if sum(n) <= 4]
-    assert len(exps) == 210
-    for n in exps:
-        z = SparsePolynomial.monomial(n)
-        total = SparsePolynomial.zero()
-        for j in range(1, 7):
-            dj = z.partial_derivative(j)
-            total = total + coef["b", (j,)] * dj
-            for k in range(1, 7):
-                total = total + coef["a", (min(j, k), max(j, k))] * dj.partial_derivative(k)
-        assert total.scaled(3) == SparsePolynomial(hamiltonian.image_x3(n)), n
+
+
+def _operator_x3(p):
+    """3 * (sum over ordered j, k of A[j,k] d_j d_k + sum_j B[j] d_j) p, built
+    with the ring's own calculus, independently of the kernel layout."""
+    coef = _record_polynomials()
+    total = SparsePolynomial.zero()
+    for j in range(1, 7):
+        dj = p.partial_derivative(j)
+        total = total + coef["b", (j,)] * dj
+        for k in range(1, 7):
+            total = total + coef["a", (min(j, k), max(j, k))] * dj.partial_derivative(k)
+    return total.scaled(3)
+
+
+LOW_EXPONENTS = [n for n in product(range(5), repeat=6) if sum(n) <= 4]
+
+
+def test_kernel_matches_operator_built_from_the_records():
+    assert len(LOW_EXPONENTS) == 210
+    for n in LOW_EXPONENTS:
+        expect = _operator_x3(SparsePolynomial.monomial(n))
+        assert expect == SparsePolynomial(hamiltonian.image_x3(n)), n
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_id_kernel_matches_operator_built_from_the_records(data):
+    # on an empty index: each round mixes exponents met in earlier rounds,
+    # whose ids and rows are memo hits, with exponents that grow the index
+    coefs = st.integers(-5, 5).filter(bool)
+    with fresh_index() as index:
+        seen: list = []
+        for _ in range(3):
+            old = data.draw(st.lists(st.sampled_from(seen), max_size=3)) if seen else []
+            new = data.draw(st.lists(st.sampled_from(LOW_EXPONENTS), min_size=1, max_size=3))
+            terms = {e: data.draw(coefs) for e in old + new}
+            eps3 = data.draw(st.integers(-300, 300))
+            known = all(e in index.ids and index.rows[index.ids[e]] for e in terms)
+            size = len(index.exps)
+            got = hamiltonian.shifted_image_x3(terms, eps3)
+            p = SparsePolynomial(terms)
+            assert SparsePolynomial(got) == _operator_x3(p) - p.scaled(eps3)
+            assert list(got)[:len(terms)] == list(terms)
+            assert all(index.rows[index.ids[e]] for e in terms)
+            if known:
+                assert len(index.exps) == size
+            seen += new
+
+
+def test_row_diagonal_is_checked_against_the_eigenvalue(monkeypatch):
+    # the last kernel entry is B[6] = eigenvalue(l6) z6: shift its coefficient
+    kernel = list(hamiltonian.tables())
+    j, k, same, [(off, c)] = kernel[-1]
+    kernel[-1] = (j, k, same, [(off, c + 3)])
+    monkeypatch.setattr(hamiltonian, "_TABLES", kernel)
+    l6 = lattice.fundamental_weight(6)
+    with fresh_index() as index:
+        for _ in range(2):  # a failed row is not kept, so the check runs again
+            with pytest.raises(InternalInconsistencyError,
+                               match=re.escape(f"diagonal coefficient of Delta z^{l6}")):
+                hamiltonian.image_x3(l6)
+            assert index.rows[index.ids[l6]] is None
+
+
+@pytest.mark.parametrize("w", [(1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 5)])
+def test_weights_of_the_wrong_length_are_rejected(w):
+    index = hamiltonian.exponent_index()
+    size = len(index.exps)
+    entry_points = [hamiltonian.eigenvalue, hamiltonian.eigenvalue_x3, hamiltonian.energy,
+                    lambda v: lattice.inner_product(v, (1,) * 6),
+                    lambda v: lattice.inner_product((1,) * 6, v),
+                    lambda v: hamiltonian.apply_delta(SparsePolynomial.monomial(v))]
+    for entry in entry_points:
+        with pytest.raises(ValueError, match=re.escape(str(w))):
+            entry(w)
+    assert len(index.exps) == size  # nothing of the wrong length was indexed
+    # negative labels stay allowed: the spectrum lives on the whole weight lattice
+    neg = (-1, 0, 0, 0, 0, 2)
+    assert hamiltonian.eigenvalue(neg) == 2 * lattice.inner_product(neg, [x + 2 for x in neg])
+    assert hamiltonian.eigenvalue_x3(neg) == 3 * hamiltonian.eigenvalue(neg)
+    total, ground = hamiltonian.energy(neg)
+    assert total - ground == hamiltonian.eigenvalue(neg)
 
 
 def _set_coef(records, kind, indices, coef):
