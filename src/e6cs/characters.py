@@ -26,6 +26,7 @@ from .ring import Exponent, SparsePolynomial, _norm, _wrap, coef_to_str
 CACHE_ENV = "E6CS_CACHE_DIR"
 CACHE_VERSION = 2
 JSON_VERSION = 1  # of the `char --format json` record, not of the cache
+_TMP_SUFFIX = ".tmp"  # of an entry that _store has not yet published by its rename
 
 FUNDAMENTAL_DIMENSIONS = (27, 78, 351, 2925, 351, 27)
 
@@ -152,15 +153,27 @@ def cache_dir() -> Path:
 
 
 def cache_path(m) -> Path:
-    return cache_dir() / ("chi_" + "-".join(str(int(x)) for x in m) + ".json")
+    return cache_dir() / ("chi_" + "-".join(map(str, m)) + ".json")
 
 
 def cache_key(path: Path) -> lattice.Vec:
-    """The weight a cache file is named for; the inverse of cache_path."""
+    """The weight a cache file is named for; the inverse of cache_path.  Only
+    the name cache_path gives a weight is an entry: leading zeros or digits
+    other than ASCII make a stray file, which no lookup would read."""
     parts = path.stem[len("chi_"):].split("-")
-    if len(parts) != 6 or not all(p.isdecimal() for p in parts):
-        raise CacheCorruptError(f"stray cache entry {path}: name is not chi_<six labels>.json")
-    return tuple(int(p) for p in parts)
+    if len(parts) == 6 and all(p.isascii() and p.isdecimal() for p in parts):
+        key = tuple(map(int, parts))
+        if cache_path(key).name == path.name:
+            return key
+    raise CacheCorruptError(f"stray cache entry {path}: name is not chi_<six labels>.json "
+                            "with each label in plain decimal")
+
+
+def cache_entries() -> list[Path]:
+    """The files of the cache directory named like entries, sorted; none when
+    there is no directory.  cache_key tells an entry from a stray file."""
+    directory = cache_dir()
+    return sorted(directory.glob("chi_*.json")) if directory.is_dir() else []
 
 
 def character_to_json(ch: Character) -> dict:
@@ -175,7 +188,7 @@ def character_to_json(ch: Character) -> dict:
 
 
 def character_from_json(obj: dict) -> Character:
-    weight = tuple(int(x) for x in obj["weight"])
+    weight = lattice._check_dominant(obj["weight"])
     poly = SparsePolynomial.from_records(obj["terms"])
     return Character(weight, poly, str(obj.get("method", "cache")))
 
@@ -223,7 +236,7 @@ def _store(ch: Character) -> None:
              "exps": [x for e in terms for x in e], "coefs": list(terms.values())}
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=_TMP_SUFFIX)
     except OSError as exc:
         raise _unusable(path, exc) from exc
     try:
@@ -242,7 +255,8 @@ def _store(ch: Character) -> None:
 
 def _load(m) -> Character | None:
     """The validated cached character of m, or None on a miss.  An entry of
-    another format version is a miss, so it is recomputed and overwritten."""
+    another format version is a miss, so it is recomputed and overwritten.
+    The one reader of an entry: lookups and the dims sweep both call it."""
     path = cache_path(m)
     try:
         ch = decode_cache_entry(path.read_text())
@@ -269,6 +283,17 @@ _METHODS = {"recursion": character_recursion, "annihilator": character_annihilat
 
 def clear_memory_cache() -> None:
     _MEMORY.clear()
+
+
+def clear_cache() -> tuple[int, int]:
+    """Remove every entry, and every temporary file that a store killed before
+    its rename left behind, then empty the memory tier; return both counts."""
+    directory, entries = cache_dir(), cache_entries()
+    leftovers = sorted(directory.glob("*" + _TMP_SUFFIX)) if directory.is_dir() else []
+    for path in entries + leftovers:
+        path.unlink()
+    clear_memory_cache()
+    return len(entries), len(leftovers)
 
 
 def character(m, method: str = "recursion") -> Character:

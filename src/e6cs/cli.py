@@ -12,7 +12,8 @@ import sys
 from fractions import Fraction
 
 from . import hamiltonian, lattice, tensor, verify
-from .characters import cache_dir, cache_key, character, character_to_json, clear_memory_cache
+from .characters import (cache_dir, cache_entries, cache_key, character, character_to_json,
+                         clear_cache, clear_memory_cache)
 from .errors import E6CSError
 from .ring import PolynomialSyntaxError, coef_to_str, parse_polynomial
 
@@ -112,21 +113,17 @@ def _cmd_verify(args) -> int:
 
 def _cmd_cache(args) -> int:
     directory = cache_dir()
-    entries = sorted(directory.glob("chi_*.json")) if directory.is_dir() else []
     if args.action == "info":
         print(f"cache directory: {directory}")
-        print(f"entries: {len(entries)}")
+        print(f"entries: {len(cache_entries())}")
     elif args.action == "clear":
-        # a store killed between mkstemp and its rename leaves its temporary file
-        leftovers = sorted(directory.glob("*.tmp")) if directory.is_dir() else []
-        for path in entries + leftovers:
-            path.unlink()
-        clear_memory_cache()
-        print(f"removed {len(entries)} entries from {directory}")
+        entries, leftovers = clear_cache()
+        print(f"removed {entries} entries from {directory}")
         if leftovers:
-            print(f"removed {len(leftovers)} temporary files left by interrupted stores")
+            print(f"removed {leftovers} temporary files left by interrupted stores")
     else:  # validate: reload every entry through the invariant checks
         clear_memory_cache()
+        entries = cache_entries()
         for path in entries:
             character(cache_key(path))
         print(f"validated {len(entries)} entries in {directory}")

@@ -47,20 +47,20 @@ def eigenvalue(m: Sequence[int], kappa: Rational = 1) -> Rational:
 
     Equals 2(l, l + 2*kappa*rho) for the weight l with Dynkin labels m.
     """
-    m = lattice.check_length(m)
+    m = lattice.check_labels(m, lattice.RATIONAL)
     return _norm(Fraction(2 * lattice.form_x3(m, [x + 2 * kappa for x in m]), 3))
 
 
 def eigenvalue_x3(m: Sequence[int]) -> int:
     """3 * eigenvalue(m, 1) as a plain int, for the integer kernel."""
     index = _INDEX
-    return index.eps3[index.id(tuple(m))]
+    return index.eps3[index.id(lattice.check_labels(m))]
 
 
 def energy(m: Sequence[int], kappa: Rational = 1) -> tuple[Rational, Rational]:
     """(total, ground-state) energy at coupling kappa; total - ground is the
     eigenvalue above."""
-    m = lattice.check_length(m)
+    m = lattice.check_labels(m, lattice.RATIONAL)
     rho = (1, 1, 1, 1, 1, 1)
     ground = 2 * kappa * kappa * lattice.inner_product(rho, rho)
     shifted = tuple(x + kappa for x in m)
@@ -159,7 +159,7 @@ class ExponentIndex:
         """The id of exp, registering it on first sight."""
         i = self.ids.get(exp)
         if i is None:
-            exp = lattice.check_length(exp)
+            exp = lattice.check_labels(exp)
             i = self.ids[exp] = len(self.exps)
             self.exps.append(exp)
             self.heights.append(lattice.weight_height(exp))
@@ -205,7 +205,7 @@ def exponent_index() -> ExponentIndex:
 def image_x3(exp: Sequence[int]) -> dict[Exponent, int]:
     """3 * Delta z^exp as a map of exponent -> integer coefficient."""
     index = _INDEX
-    targets, coefs = index.row(index.id(tuple(exp)))
+    targets, coefs = index.row(index.id(lattice.check_labels(exp)))
     exps = index.exps
     return {exps[t]: c for t, c in zip(targets, coefs)}
 

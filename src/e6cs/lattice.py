@@ -158,7 +158,7 @@ def form_x3(u: Sequence[int], v: Sequence[int]) -> int:
 
 def inner_product(u: Sequence[int], v: Sequence[int]) -> Fraction:
     """Bilinear form on the weight lattice, (l_i, l_j) being the inverse Cartan."""
-    return Fraction(form_x3(check_length(u), check_length(v)), 3)
+    return Fraction(form_x3(check_labels(u, RATIONAL), check_labels(v, RATIONAL)), 3)
 
 
 def weight_height(w: Sequence[int]) -> int:
@@ -188,16 +188,24 @@ def _weyl_dimension_cached(m: Vec) -> int:
     return q
 
 
-def check_length(v: Sequence) -> tuple:
-    """v as a tuple of six labels, of any sign or type; ValueError otherwise."""
+INTEGER = (int,)
+RATIONAL = (int, Fraction)
+
+
+def check_labels(v: Sequence, types: tuple[type, ...] = INTEGER) -> tuple:
+    """v as a tuple of six labels of any sign, each exactly of one of types,
+    so never a bool or a float; ValueError naming the input otherwise."""
     v = tuple(v)
     if len(v) != 6:
         raise ValueError(f"not a vector of six labels: {v}")
+    for x in v:
+        if type(x) not in types:
+            raise ValueError(f"labels must be {' or '.join(t.__name__ for t in types)}: {v}")
     return v
 
 
 def _check_dominant(m: Sequence[int]) -> Vec:
-    m = check_length(int(x) for x in m)
+    m = check_labels(m)
     if any(x < 0 for x in m):
         raise ValueError(f"not a dominant weight: {m}")
     return m

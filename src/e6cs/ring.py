@@ -151,8 +151,8 @@ class SparsePolynomial:
     def from_records(cls, records: Iterable[Mapping]) -> "SparsePolynomial":
         out: dict[Exponent, Coef] = {}
         for rec in records:
-            e = tuple(int(x) for x in rec["exp"])
-            if len(e) != 6 or any(x < 0 for x in e):
+            e = tuple(rec["exp"])
+            if len(e) != 6 or any(type(x) is not int or x < 0 for x in e):
                 raise ValueError(f"bad exponent {e}")
             out[e] = _norm(out.get(e, 0) + coef_from_str(rec["coef"]))
         return _wrap({e: c for e, c in out.items() if c})

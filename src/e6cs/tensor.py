@@ -55,8 +55,8 @@ class CGSeries:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CGSeries":
-        factors = tuple(tuple(int(x) for x in f) for f in obj["factors"])
-        terms = {tuple(int(x) for x in rec["weight"]): int(rec["mult"]) for rec in obj["terms"]}
+        factors = tuple(lattice._check_dominant(f) for f in obj["factors"])
+        terms = {lattice._check_dominant(rec["weight"]): int(rec["mult"]) for rec in obj["terms"]}
         return cls(factors, terms)
 
 

@@ -27,3 +27,13 @@ def term_index():
         exps = payload["exps"]
         return [tuple(exps[i:i + 6]) for i in range(0, len(exps), 6)].index(exp)
     return find
+
+
+@pytest.fixture
+def isolated_cache(tmp_path, monkeypatch):
+    """An empty character cache in tmp_path for this test alone, with the
+    memory tier cleared before and after it."""
+    monkeypatch.setenv(characters.CACHE_ENV, str(tmp_path))
+    characters.clear_memory_cache()
+    yield tmp_path
+    characters.clear_memory_cache()

@@ -12,7 +12,7 @@ from e6cs.cli import main
 from e6cs.errors import (CacheCorruptError, DegenerateScaleError,
                          InternalInconsistencyError, ZeroDenominatorError)
 from e6cs.ring import SparsePolynomial, parse_polynomial
-from e6cs.tensor import monomial_decompose, tensor_decompose
+from e6cs.tensor import CGSeries, monomial_decompose, tensor_decompose
 
 
 def test_recursion_examples():
@@ -54,16 +54,11 @@ def test_dispatcher_uses_cache():
     assert again.method == "recursion"
 
 
-def test_dispatcher_method_selection(tmp_path, monkeypatch):
-    monkeypatch.setenv(characters.CACHE_ENV, str(tmp_path))
-    characters.clear_memory_cache()
-    try:
-        ch = character((1, 0, 0, 0, 1, 0), method="annihilator")
-        assert ch.method == "annihilator"
-        with pytest.raises(ValueError):
-            character((1, 0, 0, 0, 0, 0), method="golden")
-    finally:
-        characters.clear_memory_cache()
+def test_dispatcher_method_selection(isolated_cache):
+    ch = character((1, 0, 0, 0, 1, 0), method="annihilator")
+    assert ch.method == "annihilator"
+    with pytest.raises(ValueError):
+        character((1, 0, 0, 0, 0, 0), method="golden")
 
 
 def test_third_order_character_from_reference_data():
@@ -111,61 +106,46 @@ def test_duality_on_degree_two():
             assert character(m).poly.conjugate_variables() == character(conj).poly
 
 
-def test_cache_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv(characters.CACHE_ENV, str(tmp_path))
+def test_cache_round_trip(isolated_cache):
+    w = (1, 0, 0, 0, 0, 2)
+    ch = character(w)
+    path = characters.cache_path(w)
+    assert path.is_file()
+    payload = json.loads(path.read_text())
+    assert payload["weight"] == list(w)
+    assert payload["version"] == characters.CACHE_VERSION
+    assert payload["method"] == "recursion"
+    # bit-exact reload
     characters.clear_memory_cache()
-    try:
-        w = (1, 0, 0, 0, 0, 2)
+    again = character(w)
+    assert again.poly == ch.poly
+    assert again.poly.to_records() == ch.poly.to_records()
+
+
+def test_cache_corruption_detected(isolated_cache, term_index):
+    w = (2, 0, 0, 0, 0, 0)
+    character(w)
+    path = characters.cache_path(w)
+    payload = json.loads(path.read_text())
+    # break an interior coefficient
+    payload["coefs"][term_index(payload, (0, 0, 1, 0, 0, 0))] = 17
+    path.write_text(json.dumps(payload))
+    characters.clear_memory_cache()
+    with pytest.raises(CacheCorruptError):
+        character(w)
+
+
+def test_cache_format_round_trip_is_bit_exact(isolated_cache):
+    for w in [(0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 1), (0, 0, 0, 3, 0, 0), (1, 1, 0, 0, 1, 0)]:
         ch = character(w)
-        path = characters.cache_path(w)
-        assert path.is_file()
-        payload = json.loads(path.read_text())
-        assert payload["weight"] == list(w)
-        assert payload["version"] == characters.CACHE_VERSION
-        assert payload["method"] == "recursion"
-        # bit-exact reload
+        payload = json.loads(characters.cache_path(w).read_text())
+        assert sorted(payload) == ["coefs", "exps", "method", "version", "weight"]
+        assert len(payload["exps"]) == 6 * len(payload["coefs"]) == 6 * len(ch.poly.terms)
         characters.clear_memory_cache()
         again = character(w)
-        assert again.poly == ch.poly
-        assert again.poly.to_records() == ch.poly.to_records()
-    finally:
-        characters.clear_memory_cache()
-
-
-def test_cache_corruption_detected(tmp_path, monkeypatch, term_index):
-    monkeypatch.setenv(characters.CACHE_ENV, str(tmp_path))
-    characters.clear_memory_cache()
-    try:
-        w = (2, 0, 0, 0, 0, 0)
-        character(w)
-        path = characters.cache_path(w)
-        payload = json.loads(path.read_text())
-        # break an interior coefficient
-        payload["coefs"][term_index(payload, (0, 0, 1, 0, 0, 0))] = 17
-        path.write_text(json.dumps(payload))
-        characters.clear_memory_cache()
-        with pytest.raises(CacheCorruptError):
-            character(w)
-    finally:
-        characters.clear_memory_cache()
-
-
-def test_cache_format_round_trip_is_bit_exact(tmp_path, monkeypatch):
-    monkeypatch.setenv(characters.CACHE_ENV, str(tmp_path))
-    characters.clear_memory_cache()
-    try:
-        for w in [(0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 1), (0, 0, 0, 3, 0, 0), (1, 1, 0, 0, 1, 0)]:
-            ch = character(w)
-            payload = json.loads(characters.cache_path(w).read_text())
-            assert sorted(payload) == ["coefs", "exps", "method", "version", "weight"]
-            assert len(payload["exps"]) == 6 * len(payload["coefs"]) == 6 * len(ch.poly.terms)
-            characters.clear_memory_cache()
-            again = character(w)
-            assert again.weight == ch.weight and again.method == ch.method
-            assert list(again.poly.terms.items()) == list(ch.poly.terms.items())
-            assert all(type(c) is int for c in again.poly.terms.values())
-    finally:
-        characters.clear_memory_cache()
+        assert again.weight == ch.weight and again.method == ch.method
+        assert list(again.poly.terms.items()) == list(ch.poly.terms.items())
+        assert all(type(c) is int for c in again.poly.terms.values())
 
 
 def _shorten_exps(payload, at):
@@ -198,6 +178,13 @@ def _foreign_weight(payload, at):
     payload["weight"] = [0, 0, 0, 0, 0, 2]  # the conjugate weight, same size
 
 
+def _same_dimension_non_eigenfunction(payload, at):
+    # z1^2 - z3 - z6 becomes z1^2 - z3 - 14*z6 + 13*z1, still of dimension 351
+    payload["coefs"][at(payload, (0, 0, 0, 0, 0, 1))] = -14
+    payload["exps"] += [1, 0, 0, 0, 0, 0]
+    payload["coefs"].append(13)
+
+
 @pytest.mark.parametrize("corrupt, reason", [
     (_shorten_exps, "17 exponents for 3 coefficients"),
     (_negative_exponent, "negative label or exponent"),
@@ -206,51 +193,59 @@ def _foreign_weight(payload, at):
     (_zero_coefficient, "zero coefficient"),
     (_repeated_exponent, "repeated exponent"),
     (_foreign_weight, r"holds the character of \(0, 0, 0, 0, 0, 2\)"),
+    (_same_dimension_non_eigenfunction, "not an eigenfunction: .* residual 520 at"),
 ])
-def test_cache_decoder_rejects_malformed_entries(corrupt, reason, tmp_path, monkeypatch,
+def test_cache_decoder_rejects_malformed_entries(corrupt, reason, isolated_cache,
                                                  capsys, term_index):
-    monkeypatch.setenv(characters.CACHE_ENV, str(tmp_path))
+    w = (2, 0, 0, 0, 0, 0)
+    character(w)
+    path = characters.cache_path(w)
+    payload = json.loads(path.read_text())
+    corrupt(payload, term_index)
+    path.write_text(json.dumps(payload))
     characters.clear_memory_cache()
-    try:
-        w = (2, 0, 0, 0, 0, 0)
+    with pytest.raises(CacheCorruptError, match=re.escape(str(path))) as info:
         character(w)
-        path = characters.cache_path(w)
-        payload = json.loads(path.read_text())
-        corrupt(payload, term_index)
-        path.write_text(json.dumps(payload))
-        characters.clear_memory_cache()
-        with pytest.raises(CacheCorruptError, match=re.escape(str(path))) as info:
-            character(w)
-        assert re.search(reason, str(info.value))
-        characters.clear_memory_cache()
-        assert main(["char", "2,0,0,0,0,0"]) == 1
-        assert "error:" in capsys.readouterr().err
-    finally:
-        characters.clear_memory_cache()
-
-
-def test_stale_cache_version_is_recomputed(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(characters.CACHE_ENV, str(tmp_path))
+    assert re.search(reason, str(info.value))
     characters.clear_memory_cache()
-    try:
-        expect = {w: character_recursion(w).poly for w in [(1, 0, 0, 0, 0, 2), (0, 1, 1, 0, 0, 0)]}
-        for w, poly in expect.items():  # the version-1 layout, one record per term
-            v1 = {"weight": list(w), "terms": poly.to_records(), "method": "recursion",
-                  "version": 1}
-            characters.cache_path(w).write_text(json.dumps(v1))
-        dims = {c.name: c.ok for c in verify.suite_dims()}
-        assert all(dims.values()) and "cached entries swept: 0" in dims
-        w, u = expect
-        assert character(w).poly == expect[w]  # a miss: recomputed and overwritten
-        assert main(["cache", "validate"]) == 0  # upgrades the other entry
-        for v in expect:
-            payload = json.loads(characters.cache_path(v).read_text())
-            assert payload["version"] == characters.CACHE_VERSION == 2
-        characters.clear_memory_cache()
-        monkeypatch.setitem(characters._METHODS, "recursion", None)  # hits only from here
-        assert character(w).poly == expect[w] and character(u).poly == expect[u]
-    finally:
-        characters.clear_memory_cache()
+    assert main(["char", "2,0,0,0,0,0"]) == 1
+    assert "error:" in capsys.readouterr().err
+    # the dims sweep and `cache validate` give the lookup's verdict
+    assert main(["verify", "--suite=dims"]) == 1
+    assert f"FAIL [dims] cached entry {path.name}: {info.value}\n" in capsys.readouterr().out
+    assert main(["cache", "validate"]) == 1
+    assert capsys.readouterr().err == f"error: {info.value}\n"
+
+
+def test_every_reader_rejects_an_entry_under_another_weights_name(isolated_cache, capsys):
+    # a copy of chi(2,0,0,0,0,0) planted under the name of its conjugate weight
+    character((2, 0, 0, 0, 0, 0))
+    planted = characters.cache_path((0, 0, 0, 0, 0, 2))
+    planted.write_bytes(characters.cache_path((2, 0, 0, 0, 0, 0)).read_bytes())
+    message = f"invalid cache entry {planted}: entry holds the character of (2, 0, 0, 0, 0, 0)"
+    for argv in (["char", "0,0,0,0,0,2"], ["cache", "validate"]):
+        assert main(argv) == 1 and capsys.readouterr().err == f"error: {message}\n"
+    assert main(["verify", "--suite=dims"]) == 1
+    assert f"FAIL [dims] cached entry {planted.name}: {message}\n" in capsys.readouterr().out
+
+
+def test_stale_cache_version_is_recomputed(isolated_cache, monkeypatch, capsys):
+    expect = {w: character_recursion(w).poly for w in [(1, 0, 0, 0, 0, 2), (0, 1, 1, 0, 0, 0)]}
+    for w, poly in expect.items():  # the version-1 layout, one record per term
+        v1 = {"weight": list(w), "terms": poly.to_records(), "method": "recursion",
+              "version": 1}
+        characters.cache_path(w).write_text(json.dumps(v1))
+    dims = {c.name: c.ok for c in verify.suite_dims()}
+    assert all(dims.values()) and "cached entries swept: 0" in dims
+    w, u = expect
+    assert character(w).poly == expect[w]  # a miss: recomputed and overwritten
+    assert main(["cache", "validate"]) == 0  # upgrades the other entry
+    for v in expect:
+        payload = json.loads(characters.cache_path(v).read_text())
+        assert payload["version"] == characters.CACHE_VERSION == 2
+    characters.clear_memory_cache()
+    monkeypatch.setitem(characters._METHODS, "recursion", None)  # hits only from here
+    assert character(w).poly == expect[w] and character(u).poly == expect[u]
 
 
 def test_validation_failures_name_the_fault(monkeypatch):
@@ -269,31 +264,21 @@ def test_validation_failures_name_the_fault(monkeypatch):
         validate_character(character_recursion((1, 0, 0, 0, 0, 0)))
 
 
-def test_cache_unparseable_file(tmp_path, monkeypatch):
-    monkeypatch.setenv(characters.CACHE_ENV, str(tmp_path))
+def test_cache_unparseable_file(isolated_cache):
+    w = (0, 0, 0, 0, 1, 0)
+    character(w)
+    characters.cache_path(w).write_text("not json")
     characters.clear_memory_cache()
-    try:
-        w = (0, 0, 0, 0, 1, 0)
+    with pytest.raises(CacheCorruptError):
         character(w)
-        characters.cache_path(w).write_text("not json")
-        characters.clear_memory_cache()
-        with pytest.raises(CacheCorruptError):
-            character(w)
-    finally:
-        characters.clear_memory_cache()
 
 
-def test_unreadable_entry_in_a_usable_directory_is_corrupt(tmp_path, monkeypatch):
+def test_unreadable_entry_in_a_usable_directory_is_corrupt(isolated_cache):
     # the directory is fine, the entry is not: blame the entry
-    monkeypatch.setenv(characters.CACHE_ENV, str(tmp_path))
-    characters.clear_memory_cache()
-    try:
-        w = (0, 0, 0, 0, 1, 0)
-        characters.cache_path(w).mkdir()
-        with pytest.raises(CacheCorruptError, match="unreadable cache entry .*chi_0-0-0-0-1-0"):
-            character(w)
-    finally:
-        characters.clear_memory_cache()
+    w = (0, 0, 0, 0, 1, 0)
+    characters.cache_path(w).mkdir()
+    with pytest.raises(CacheCorruptError, match="unreadable cache entry .*chi_0-0-0-0-1-0"):
+        character(w)
 
 
 def test_character_json_serialization():
@@ -307,12 +292,15 @@ def test_character_json_serialization():
 def test_rejects_negative_labels():
     with pytest.raises(ValueError):
         character((-1, 0, 0, 0, 0, 0))
-    # weights of the wrong length are named as bad input, not blamed on the data
+    # weights of the wrong length, sign or type are named as bad input, never rounded
     entry_points = [character, character_recursion, character_annihilator,
                     lambda w: tensor_decompose(w, (1, 0, 0, 0, 0, 0)),
                     lambda w: tensor_decompose((1, 0, 0, 0, 0, 0), w),
-                    monomial_decompose, hamiltonian.monomial_expansion]
-    for w in ((1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0), (0, 0, -1, 0, 0, 0)):
+                    monomial_decompose, hamiltonian.monomial_expansion,
+                    lambda w: characters.character_from_json({"weight": w, "terms": []}),
+                    lambda w: CGSeries.from_json({"factors": [w], "terms": []}),
+                    lambda w: SparsePolynomial.from_records([{"exp": w, "coef": "1"}])]
+    for w in ((1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0), (0, 0, -1, 0, 0, 0), (1.5, 0, 0, 0, 0, 0)):
         for entry in entry_points:
             with pytest.raises(ValueError, match=re.escape(str(w))):
                 entry(w)
@@ -341,10 +329,8 @@ def test_annihilator_detects_degenerate_scale(monkeypatch):
         character_annihilator(w)
 
 
-def test_store_survives_cache_clear_between_write_and_rename(tmp_path, monkeypatch):
+def test_store_survives_cache_clear_between_write_and_rename(isolated_cache, monkeypatch):
     # `cache clear` deletes *.tmp files; a store whose file it took publishes nothing
-    monkeypatch.setenv(characters.CACHE_ENV, str(tmp_path))
-    characters.clear_memory_cache()
     replace = characters.os.replace
 
     def cleared_first(src, dst):
@@ -352,8 +338,5 @@ def test_store_survives_cache_clear_between_write_and_rename(tmp_path, monkeypat
         return replace(src, dst)
 
     monkeypatch.setattr(characters.os, "replace", cleared_first)
-    try:
-        assert character((1, 0, 0, 0, 0, 1)).poly == parse_polynomial("z1*z6 - z2 - 1")
-        assert list(tmp_path.iterdir()) == []
-    finally:
-        characters.clear_memory_cache()
+    assert character((1, 0, 0, 0, 0, 1)).poly == parse_polynomial("z1*z6 - z2 - 1")
+    assert list(isolated_cache.iterdir()) == []

@@ -34,20 +34,15 @@ def test_char_example_with_constant_term(capsys):
     assert out.strip() == "z1*z3 - z1*z6 - z4 + 1"
 
 
-def test_char_json_output_is_pinned(capsys, tmp_path, monkeypatch):
+def test_char_json_output_is_pinned(capsys, isolated_cache):
     # the user-visible record, independent of the cache format; cold and warm
     expect = ('{"weight": [2, 0, 0, 0, 0, 0], "terms": ['
               '{"exp": [2, 0, 0, 0, 0, 0], "coef": "1"}, '
               '{"exp": [0, 0, 1, 0, 0, 0], "coef": "-1"}, '
               '{"exp": [0, 0, 0, 0, 0, 1], "coef": "-1"}], '
               '"method": "recursion", "version": 1}\n')
-    monkeypatch.setenv(characters.CACHE_ENV, str(tmp_path))
-    characters.clear_memory_cache()
-    try:
-        for _ in range(2):
-            assert run(capsys, "char", "2,0,0,0,0,0", "--format", "json") == (0, expect, "")
-            characters.clear_memory_cache()
-    finally:
+    for _ in range(2):
+        assert run(capsys, "char", "2,0,0,0,0,0", "--format", "json") == (0, expect, "")
         characters.clear_memory_cache()
 
 
@@ -59,15 +54,10 @@ def test_char_json_round_trips(capsys):
     assert ch.poly == parse_polynomial("z1*z2 - z1 - z5")
 
 
-def test_char_annihilator_method(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv(characters.CACHE_ENV, str(tmp_path))
-    characters.clear_memory_cache()
-    try:
-        code, out, _ = run(capsys, "char", "0,2,0,0,0,0", "--method=annihilator", "--format=json")
-        assert code == 0
-        assert json.loads(out)["method"] == "annihilator"
-    finally:
-        characters.clear_memory_cache()
+def test_char_annihilator_method(capsys, isolated_cache):
+    code, out, _ = run(capsys, "char", "0,2,0,0,0,0", "--method=annihilator", "--format=json")
+    assert code == 0
+    assert json.loads(out)["method"] == "annihilator"
 
 
 def test_dim(capsys):
@@ -143,22 +133,17 @@ def test_usage_errors_exit_2(capsys):
         assert "Traceback" not in capsys.readouterr().err
 
 
-def test_computation_error_exits_1(capsys, tmp_path, monkeypatch, term_index):
-    monkeypatch.setenv(characters.CACHE_ENV, str(tmp_path))
+def test_computation_error_exits_1(capsys, isolated_cache, term_index):
+    assert main(["char", "2,0,0,0,0,0"]) == 0
+    capsys.readouterr()
+    path = characters.cache_path((2, 0, 0, 0, 0, 0))
+    payload = json.loads(path.read_text())
+    payload["coefs"][term_index(payload, (2, 0, 0, 0, 0, 0))] = 3
+    path.write_text(json.dumps(payload))
     characters.clear_memory_cache()
-    try:
-        assert main(["char", "2,0,0,0,0,0"]) == 0
-        capsys.readouterr()
-        path = characters.cache_path((2, 0, 0, 0, 0, 0))
-        payload = json.loads(path.read_text())
-        payload["coefs"][term_index(payload, (2, 0, 0, 0, 0, 0))] = 3
-        path.write_text(json.dumps(payload))
-        characters.clear_memory_cache()
-        code, _, err = run(capsys, "char", "2,0,0,0,0,0")
-        assert code == 1
-        assert "error:" in err
-    finally:
-        characters.clear_memory_cache()
+    code, _, err = run(capsys, "char", "2,0,0,0,0,0")
+    assert code == 1
+    assert "error:" in err
 
 
 def test_verify_roots_suite(capsys):
@@ -168,31 +153,21 @@ def test_verify_roots_suite(capsys):
     assert "checks passed" in out
 
 
-def test_verify_all_output_is_pinned(capsys, tmp_path, monkeypatch):
+def test_verify_all_output_is_pinned(capsys, isolated_cache):
     # the stdout the benchmark's correctness gate holds every run to
-    monkeypatch.setenv(characters.CACHE_ENV, str(tmp_path))
-    characters.clear_memory_cache()
-    try:
-        code, out, _ = run(capsys, "verify", "--suite=all")
-    finally:
-        characters.clear_memory_cache()
+    code, out, _ = run(capsys, "verify", "--suite=all")
     assert code == 0
     assert out.splitlines()[-1] == "474/474 checks passed"
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "99b3ce07bf2cd2c1c20487f1363cdbd23352d16ecd05dcb8e9502fd9921bc460"
 
 
-def test_cache_entries_written_by_a_cold_job_are_pinned(capsys, tmp_path, monkeypatch):
+def test_cache_entries_written_by_a_cold_job_are_pinned(capsys, isolated_cache):
     # the recursion's term order reaches the cache files byte for byte
-    monkeypatch.setenv(characters.CACHE_ENV, str(tmp_path))
-    characters.clear_memory_cache()
-    try:
-        code, _, _ = run(capsys, "monomial", "0,0,1,1,0,0")
-    finally:
-        characters.clear_memory_cache()
+    code, _, _ = run(capsys, "monomial", "0,0,1,1,0,0")
     assert code == 0
     digest = hashlib.sha256()
-    entries = sorted(tmp_path.glob("chi_*.json"))
+    entries = sorted(isolated_cache.glob("chi_*.json"))
     for path in entries:
         digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
     assert len(entries) == 14
@@ -200,62 +175,50 @@ def test_cache_entries_written_by_a_cold_job_are_pinned(capsys, tmp_path, monkey
         "ebc86e4a5611ec4acc06b2846666b3ffb19d64b389bdb5b7063ada70e4b2696b"
 
 
-def test_verify_dims_suite_vacuous_on_empty_cache(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv(characters.CACHE_ENV, str(tmp_path))
-    characters.clear_memory_cache()
-    try:
-        code, out, _ = run(capsys, "verify", "--suite=dims")
-        assert code == 0
-        assert "cached entries swept: 0" in out
-    finally:
-        characters.clear_memory_cache()
+def test_verify_dims_suite_vacuous_on_empty_cache(capsys, isolated_cache):
+    code, out, _ = run(capsys, "verify", "--suite=dims")
+    assert code == 0
+    assert "cached entries swept: 0" in out
 
 
-def test_cache_admin(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv(characters.CACHE_ENV, str(tmp_path))
-    characters.clear_memory_cache()
-    try:
-        run(capsys, "char", "1,0,0,0,0,1")
-        code, out, _ = run(capsys, "cache", "info")
-        assert code == 0
-        assert str(tmp_path) in out and "entries: 1" in out
-        code, out, _ = run(capsys, "cache", "validate")
-        assert code == 0 and "validated 1" in out
-        code, out, _ = run(capsys, "cache", "clear")
-        assert code == 0 and "removed 1" in out
-        code, out, _ = run(capsys, "cache", "info")
-        assert "entries: 0" in out
-    finally:
-        characters.clear_memory_cache()
+def test_cache_admin(capsys, isolated_cache):
+    run(capsys, "char", "1,0,0,0,0,1")
+    code, out, _ = run(capsys, "cache", "info")
+    assert code == 0
+    assert str(isolated_cache) in out and "entries: 1" in out
+    code, out, _ = run(capsys, "cache", "validate")
+    assert code == 0 and "validated 1" in out
+    code, out, _ = run(capsys, "cache", "clear")
+    assert code == 0 and "removed 1" in out
+    code, out, _ = run(capsys, "cache", "info")
+    assert "entries: 0" in out
 
 
-def test_cache_clear_removes_interrupted_store_temporaries(capsys, tmp_path, monkeypatch):
+def test_cache_clear_removes_interrupted_store_temporaries(capsys, isolated_cache):
     # what _store leaves when it is killed between mkstemp and the rename
-    monkeypatch.setenv(characters.CACHE_ENV, str(tmp_path))
-    characters.clear_memory_cache()
-    try:
-        run(capsys, "char", "1,0,0,0,0,0")
-        leftover = tmp_path / "tmpk3x9q1.tmp"
-        leftover.write_text('{"weight": [1, 0')
-        code, out, _ = run(capsys, "cache", "clear")
-        assert code == 0
-        assert out.splitlines() == [f"removed 1 entries from {tmp_path}",
-                                    "removed 1 temporary files left by interrupted stores"]
-        assert list(tmp_path.iterdir()) == []
-    finally:
-        characters.clear_memory_cache()
+    run(capsys, "char", "1,0,0,0,0,0")
+    leftover = isolated_cache / "tmpk3x9q1.tmp"
+    leftover.write_text('{"weight": [1, 0')
+    code, out, _ = run(capsys, "cache", "clear")
+    assert code == 0
+    assert out.splitlines() == [f"removed 1 entries from {isolated_cache}",
+                                "removed 1 temporary files left by interrupted stores"]
+    assert list(isolated_cache.iterdir()) == []
 
 
-def test_cache_validate_rejects_stray_file(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv(characters.CACHE_ENV, str(tmp_path))
-    characters.clear_memory_cache()
-    try:
-        (tmp_path / "chi_foo.json").write_text("{}")
+def test_cache_validate_rejects_stray_file(capsys, isolated_cache):
+    # only the name a lookup would read is an entry, and the dims sweep agrees:
+    # no labels, a leading zero, an Arabic-Indic digit one
+    for name, text in [("chi_foo.json", "{}"), ("chi_01-0-0-0-0-0.json", "garbage"),
+                       ("chi_\u0661-0-0-0-0-0.json", "garbage")]:
+        stray = isolated_cache / name
+        stray.write_text(text)
         code, _, err = run(capsys, "cache", "validate")
         assert code == 1
-        assert err.startswith("error:") and "chi_foo.json" in err
-    finally:
-        characters.clear_memory_cache()
+        assert err.startswith("error:") and name in err
+        code, out, _ = run(capsys, "verify", "--suite=dims")
+        assert code == 1 and f"FAIL [dims] cached entry {name}: stray cache entry {stray}: " in out
+        stray.unlink()
 
 
 @pytest.mark.parametrize("argv", [["char", "1,0,0,0,0,0"],

@@ -200,7 +200,7 @@ def test_row_diagonal_is_checked_against_the_eigenvalue(monkeypatch):
             assert index.rows[index.ids[l6]] is None
 
 
-@pytest.mark.parametrize("w", [(1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 5)])
+@pytest.mark.parametrize("w", [(1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 5), (1.5, 0, 0, 0, 0, 0)])
 def test_weights_of_the_wrong_length_are_rejected(w):
     index = hamiltonian.exponent_index()
     size = len(index.exps)
@@ -211,7 +211,7 @@ def test_weights_of_the_wrong_length_are_rejected(w):
     for entry in entry_points:
         with pytest.raises(ValueError, match=re.escape(str(w))):
             entry(w)
-    assert len(index.exps) == size  # nothing of the wrong length was indexed
+    assert len(index.exps) == size  # nothing of the wrong length or type was indexed
     # negative labels stay allowed: the spectrum lives on the whole weight lattice
     neg = (-1, 0, 0, 0, 0, 2)
     assert hamiltonian.eigenvalue(neg) == 2 * lattice.inner_product(neg, [x + 2 for x in neg])

@@ -100,7 +100,7 @@ def test_weyl_dimension_memo_matches_product_formula(m):
     assert expect.denominator == 1
     assert lattice.weyl_dimension(m) == expect  # first call may compute
     assert lattice.weyl_dimension(list(m)) == expect  # repeat is a lookup
-    for bad in [(-1, 0, 0, 0, 0, 0), (0,) * 5, (0,) * 7]:
+    for bad in [(-1, 0, 0, 0, 0, 0), (0,) * 5, (0,) * 7, (1.5, 0, 0, 0, 0, 0)]:
         with pytest.raises(ValueError):
             lattice.weyl_dimension(bad)
 
