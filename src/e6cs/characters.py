@@ -43,13 +43,12 @@ def character_recursion(m) -> Character:
     monomial, each coefficient fixed by the eigenvalue gap to the top."""
     m = lattice._check_dominant(m)
     index = hamiltonian.exponent_index()
-    exps, heights = index.exps, index.heights
-    eps3 = hamiltonian.eigenvalue_x3(m)
+    exps, heights, eps3 = index.exps, index.heights, index.eps3
     top = index.id(m)
-    top_h = heights[top]
+    top_eps3 = eps3[top]
     coeffs: dict[Exponent, int] = {}
     pending: dict[int, int] = {top: 0}  # scaled contributions (x3), by id
-    heap: list[tuple[int, Exponent, int]] = [(0, m, top)]  # (drop, exponent, id)
+    heap: list[tuple[int, Exponent, int]] = [(-heights[top], m, top)]  # (-height, exponent, id)
     while heap:
         _, e, i = heappop(heap)
         contrib = pending.pop(i, None)
@@ -58,7 +57,7 @@ def character_recursion(m) -> Character:
         if i == top:
             c = 1
         else:
-            gap = eps3 - hamiltonian.eigenvalue_x3(e)
+            gap = top_eps3 - eps3[i]
             if gap == 0:
                 raise ZeroDenominatorError(
                     f"eigenvalue of {e} collides with {m}; operator data is corrupt")
@@ -77,7 +76,7 @@ def character_recursion(m) -> Character:
                 pending[t] += c * k3
             else:
                 pending[t] = c * k3
-                heappush(heap, (top_h - heights[t], exps[t], t))
+                heappush(heap, (-heights[t], exps[t], t))
     return Character(m, SparsePolynomial(coeffs), "recursion")
 
 
@@ -103,19 +102,17 @@ def character_annihilator(m) -> Character:
     return Character(m, SparsePolynomial(scaled), "annihilator")
 
 
-# value of each monomial at a point, by point: the dimension check's memo
-_MONOMIAL_VALUES: dict[tuple[int, ...], dict[Exponent, int]] = {}
+# value of each monomial at FUNDAMENTAL_DIMENSIONS: the dimension check's memo
+_MONOMIAL_VALUES: dict[Exponent, int] = {}
 
 
 def _dimension(terms: dict[Exponent, int]) -> int:
     """The integer polynomial with these terms at FUNDAMENTAL_DIMENSIONS."""
-    point = FUNDAMENTAL_DIMENSIONS
-    values = _MONOMIAL_VALUES.setdefault(point, {})
     total = 0
     for e, c in terms.items():
-        v = values.get(e)
+        v = _MONOMIAL_VALUES.get(e)
         if v is None:
-            v = values[e] = prod(b ** x for b, x in zip(point, e))
+            v = _MONOMIAL_VALUES[e] = prod(b ** x for b, x in zip(FUNDAMENTAL_DIMENSIONS, e))
         total += c * v
     return total
 
@@ -256,7 +253,8 @@ def _store(ch: Character) -> None:
 def _load(m) -> Character | None:
     """The validated cached character of m, or None on a miss.  An entry of
     another format version is a miss, so it is recomputed and overwritten.
-    The one reader of an entry: lookups and the dims sweep both call it."""
+    The one reader of an entry: lookups and the dims sweep both call it.  An
+    entry equal to m's character in _MEMORY (proven on entry) is not proven again."""
     path = cache_path(m)
     try:
         ch = decode_cache_entry(path.read_text())
@@ -271,7 +269,9 @@ def _load(m) -> Character | None:
     try:
         if ch.weight != tuple(m):
             raise InternalInconsistencyError(f"entry holds the character of {ch.weight}")
-        validate_character(ch)
+        known = _MEMORY.get(ch.weight)
+        if known is None or known.poly != ch.poly:
+            validate_character(ch)
     except InternalInconsistencyError as exc:
         raise CacheCorruptError(f"invalid cache entry {path}: {exc}") from exc
     return ch

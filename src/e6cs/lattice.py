@@ -61,8 +61,11 @@ for _i in range(6):
         if 3 * CARTAN_INVERSE[_i][_j] != CARTAN_INVERSE_X3[_i][_j]:
             raise InternalInconsistencyError("Cartan inverse has a denominator not dividing 3")
 
-# column sums of A^-1: height of each fundamental weight in the root basis
-WEIGHT_HEIGHTS: Vec = tuple(int(sum(CARTAN_INVERSE[r][c] for r in range(6))) for c in range(6))
+# rho, the sum of the fundamental weights, in the root basis: the row sums of
+# A^-1, which (A being symmetric) are also the heights of the fundamental weights
+if any(sum(row) % 3 for row in CARTAN_INVERSE_X3):
+    raise InternalInconsistencyError("the Weyl vector is not in the root lattice")
+WEIGHT_HEIGHTS: Vec = tuple(sum(row) // 3 for row in CARTAN_INVERSE_X3)
 
 
 def height(v: Iterable[int]) -> int:
@@ -109,7 +112,7 @@ def _generate_positive_roots() -> tuple[Vec, ...]:
         hist[height(r)] += 1
     if hist[1:] != [6, 5, 5, 5, 4, 3, 3, 2, 1, 1, 1]:
         raise InternalInconsistencyError(f"positive-root height histogram is wrong: {hist[1:]}")
-    if tuple(sum(r[i] for r in roots) for i in range(6)) != (16, 22, 30, 42, 30, 16):
+    if tuple(sum(r[i] for r in roots) for i in range(6)) != tuple(2 * x for x in WEIGHT_HEIGHTS):
         raise InternalInconsistencyError("positive roots do not sum to twice the Weyl vector")
     return tuple(roots)
 
@@ -128,7 +131,7 @@ def positive_roots() -> list[Vec]:
 
 def weyl_vector_in_root_basis() -> Vec:
     """The Weyl vector (half-sum of positive roots) in root-basis coordinates."""
-    return tuple(s // 2 for s in (sum(r[i] for r in _POSITIVE_ROOTS) for i in range(6)))
+    return WEIGHT_HEIGHTS
 
 
 def to_root_basis(w: Sequence[int]) -> Vec:
@@ -162,13 +165,10 @@ def inner_product(u: Sequence[int], v: Sequence[int]) -> Fraction:
 
 
 def weight_height(w: Sequence[int]) -> int:
-    """Height of a weight-basis vector read in the root basis, rounded to the
-    integer dot product with the per-fundamental heights.
-
-    Exact whenever w is in the root lattice; for general w the true height
-    differs by a fractional class constant that cancels in differences, which
-    is all the sort keys on hot paths need.
-    """
+    """Height of a weight-basis vector read in the root basis: the sum of its
+    root coordinates, exact.  Every fundamental weight has an integer height
+    (WEIGHT_HEIGHTS), so every integral weight does too, even one outside the
+    root lattice whose root coordinates are thirds."""
     return sum(h * x for h, x in zip(WEIGHT_HEIGHTS, w))
 
 
@@ -211,9 +211,8 @@ def _check_dominant(m: Sequence[int]) -> Vec:
     return m
 
 
-# Each positive root as a step in Dynkin labels, with its height.
-_ROOT_STEPS: tuple[tuple[int, Vec], ...] = tuple(
-    (height(r), from_root_basis(r)) for r in _POSITIVE_ROOTS)
+# Each positive root as a step in Dynkin labels.
+_ROOT_STEPS: tuple[Vec, ...] = tuple(from_root_basis(r) for r in _POSITIVE_ROOTS)
 
 
 @lru_cache(maxsize=512)
@@ -222,22 +221,21 @@ def _dominant_weights_below_cached(m: Vec) -> tuple[Vec, ...]:
     # 1998): every dominant mu < m is joined to m by a chain of dominant
     # weights, each step subtracting one positive root.  A breadth-first
     # descent from m that keeps only dominant weights therefore visits
-    # exactly the answer, in memory proportional to it.  The height of
-    # m - mu is the sum of the step heights along any chain.
-    drop = {m: 0}
+    # exactly the answer, in memory proportional to it.
+    seen = {m}
     frontier = [m]
     while frontier:
         nxt = []
         for w in frontier:
-            d = drop[w]
-            for h, r in _ROOT_STEPS:
+            for r in _ROOT_STEPS:
                 mu = (w[0] - r[0], w[1] - r[1], w[2] - r[2],
                       w[3] - r[3], w[4] - r[4], w[5] - r[5])
-                if min(mu) >= 0 and mu not in drop:
-                    drop[mu] = d + h
+                if min(mu) >= 0 and mu not in seen:
+                    seen.add(mu)
                     nxt.append(mu)
         frontier = nxt
-    return tuple(sorted(drop, key=lambda mu: (drop[mu], mu)))
+    # the height of m - mu falls as the height of mu rises
+    return tuple(sorted(seen, key=lambda mu: (-weight_height(mu), mu)))
 
 
 def dominant_weights_below(m: Sequence[int]) -> list[Vec]:

@@ -37,9 +37,8 @@ class CGSeries:
         return _top(self.factors)
 
     def sorted_terms(self) -> list[tuple[lattice.Vec, int]]:
-        top_h = lattice.weight_height(self.top)
         return sorted(self.terms.items(),
-                      key=lambda item: (top_h - lattice.weight_height(item[0]), item[0]))
+                      key=lambda item: (-lattice.weight_height(item[0]), item[0]))
 
     def multiplicity(self, w: Sequence[int]) -> int:
         return self.terms.get(tuple(w), 0)
@@ -56,7 +55,10 @@ class CGSeries:
     @classmethod
     def from_json(cls, obj: dict) -> "CGSeries":
         factors = tuple(lattice._check_dominant(f) for f in obj["factors"])
-        terms = {lattice._check_dominant(rec["weight"]): int(rec["mult"]) for rec in obj["terms"]}
+        for rec in obj["terms"]:
+            if type(rec["mult"]) is not int or rec["mult"] < 1:
+                raise ValueError(f"multiplicity must be a positive int: {rec}")
+        terms = {lattice._check_dominant(rec["weight"]): rec["mult"] for rec in obj["terms"]}
         return cls(factors, terms)
 
 
@@ -117,14 +119,13 @@ def monomial_decompose(exp: Sequence[int]) -> CGSeries:
 
 
 def series_z1_times_power(k: int, n: int) -> CGSeries:
-    """Decompose z1 * chi(n * l_k) through the general peeling engine."""
+    """Decompose z1 * chi(n * l_k), which is the product l1 x n*l_k: z1 is chi(l1)."""
     if not 1 <= k <= 6:
         raise ValueError(f"fundamental index out of range: {k}")
     if n < 1:
         raise ValueError(f"power must be positive: {n}")
-    weight = tuple(n * int(i == k - 1) for i in range(6))
-    product = SparsePolynomial.variable(1) * character(weight).poly
-    return _peel(product, (lattice.fundamental_weight(1), weight))
+    l1, lk = lattice.fundamental_weight(1), lattice.fundamental_weight(k)
+    return tensor_decompose(l1, tuple(n * x for x in lk))
 
 
 def verify_orthogonality(i: int, j: int, k: int) -> bool:

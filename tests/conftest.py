@@ -1,8 +1,9 @@
 import os
+from contextlib import contextmanager
 
 import pytest
 
-from e6cs import characters
+from e6cs import characters, hamiltonian
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -37,3 +38,18 @@ def isolated_cache(tmp_path, monkeypatch):
     characters.clear_memory_cache()
     yield tmp_path
     characters.clear_memory_cache()
+
+
+@pytest.fixture(scope="session")
+def fresh_index():
+    """A context manager that runs the operator on an empty exponent index,
+    then restores the old one.  Faults are planted in the index it yields."""
+    @contextmanager
+    def fresh():
+        saved = hamiltonian._INDEX
+        hamiltonian._INDEX = hamiltonian.ExponentIndex()
+        try:
+            yield hamiltonian._INDEX
+        finally:
+            hamiltonian._INDEX = saved
+    return fresh

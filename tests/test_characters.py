@@ -1,6 +1,5 @@
 import json
 import re
-import types
 from itertools import product
 
 import pytest
@@ -248,6 +247,53 @@ def test_stale_cache_version_is_recomputed(isolated_cache, monkeypatch, capsys):
     assert character(w).poly == expect[w] and character(u).poly == expect[u]
 
 
+def test_dims_sweep_proves_an_entry_that_differs_from_the_memory_tier(isolated_cache, capsys,
+                                                                     term_index):
+    w = (2, 0, 0, 0, 0, 0)
+    true_poly = character(w).poly  # the memory tier keeps the true character
+    path = characters.cache_path(w)
+    payload = json.loads(path.read_text())
+    _same_dimension_non_eigenfunction(payload, term_index)
+    path.write_text(json.dumps(payload))
+    assert characters._MEMORY[w].poly == true_poly
+    assert main(["verify", "--suite=dims"]) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL [dims] cached entry {path.name}: invalid cache entry {path}: " in out
+    assert "not an eigenfunction" in out
+
+
+def test_dims_sweep_does_not_prove_again_what_this_process_stored(isolated_cache, monkeypatch):
+    weights = [(2, 0, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0)]
+    for w in weights:
+        character(w)
+    calls = []
+    validate = characters.validate_character
+
+    def counted(ch):
+        calls.append(ch.weight)
+        return validate(ch)
+
+    monkeypatch.setattr(characters, "validate_character", counted)
+    dims = {c.name: c.ok for c in verify.suite_dims()}
+    assert all(dims.values()) and "cached entries swept: 2" in dims
+    assert calls == []
+    # `cache validate` empties the memory tier first, so it proves every entry
+    assert main(["cache", "validate"]) == 0
+    assert sorted(calls) == sorted(weights)
+
+
+def test_verify_renders_polynomials_only_for_a_failed_check(monkeypatch):
+    expect, got = parse_polynomial("z1^2 - z3 - z6"), parse_polynomial("z1^2 - z3")
+    failed = verify._check("chi(2,0,0,0,0,0) by recursion", False, expect, got)
+    assert failed.detail == "expected z1^2 - z3 - z6, computed z1^2 - z3"
+    rendered = []
+    to_str = SparsePolynomial.__str__
+    monkeypatch.setattr(SparsePolynomial, "__str__", lambda p: rendered.append(p) or to_str(p))
+    checks = list(verify._character_checks((2, 0, 0, 0, 0, 0), expect))
+    assert len(checks) == 3 and all(c.ok for c in checks)
+    assert rendered == []
+
+
 def test_validation_failures_name_the_fault(monkeypatch):
     w = (1, 0, 0, 0, 0, 2)
     ch = character_recursion(w)
@@ -258,9 +304,9 @@ def test_validation_failures_name_the_fault(monkeypatch):
         validate_character(characters.Character(w, SparsePolynomial(bumped), "recursion"))
     msg = str(info.value)
     assert str(w) in msg and "not an eigenfunction" in msg and f"at exponent {e}" in msg
-    monkeypatch.setattr(characters, "FUNDAMENTAL_DIMENSIONS", (1,) * 6)
+    monkeypatch.setattr(lattice, "weyl_dimension", lambda m: 1)
     with pytest.raises(InternalInconsistencyError,
-                       match=r"evaluates to 1, expected the Weyl dimension 27\b"):
+                       match=r"evaluates to 27, expected the Weyl dimension 1\b"):
         validate_character(character_recursion((1, 0, 0, 0, 0, 0)))
 
 
@@ -306,27 +352,26 @@ def test_rejects_negative_labels():
                 entry(w)
 
 
-def test_recursion_detects_eigenvalue_collision(monkeypatch):
-    # collapse the spectrum seen by the recursion: every gap becomes zero
-    shim = types.SimpleNamespace(image_x3=hamiltonian.image_x3,
-                                 shifted_image_x3=hamiltonian.shifted_image_x3,
-                                 exponent_index=hamiltonian.exponent_index,
-                                 eigenvalue_x3=lambda m: 0)
-    monkeypatch.setattr(characters, "hamiltonian", shim)
-    with pytest.raises(ZeroDenominatorError):
-        character_recursion((2, 0, 0, 0, 0, 0))
-
-
-def test_annihilator_detects_degenerate_scale(monkeypatch):
-    # make every annihilator factor kill the leading monomial
+def test_recursion_detects_eigenvalue_collision(fresh_index):
+    # build the rows, then collapse the spectrum: every gap becomes zero
     w = (2, 0, 0, 0, 0, 0)
-    lead = hamiltonian.eigenvalue_x3(w)
-    shim = types.SimpleNamespace(image_x3=hamiltonian.image_x3,
-                                 shifted_image_x3=hamiltonian.shifted_image_x3,
-                                 eigenvalue_x3=lambda m: lead)
-    monkeypatch.setattr(characters, "hamiltonian", shim)
-    with pytest.raises(DegenerateScaleError):
+    with fresh_index() as index:
+        character_recursion(w)
+        index.eps3[:] = [0] * len(index.eps3)
+        with pytest.raises(ZeroDenominatorError):
+            character_recursion(w)
+
+
+def test_annihilator_detects_degenerate_scale(fresh_index):
+    # build the rows, then give every weight the leading eigenvalue, so that
+    # every annihilator factor kills the leading monomial
+    w = (2, 0, 0, 0, 0, 0)
+    with fresh_index() as index:
         character_annihilator(w)
+        lead = hamiltonian.eigenvalue_x3(w)
+        index.eps3[:] = [lead] * len(index.eps3)
+        with pytest.raises(DegenerateScaleError):
+            character_annihilator(w)
 
 
 def test_store_survives_cache_clear_between_write_and_rename(isolated_cache, monkeypatch):

@@ -1,6 +1,5 @@
 import json
 import re
-from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
 from importlib import resources
@@ -16,17 +15,6 @@ from e6cs.ring import SparsePolynomial, parse_polynomial
 
 small_weights = st.tuples(*([st.integers(0, 2)] * 6))
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
-
-
-@contextmanager
-def fresh_index():
-    """Run the operator on an empty exponent index, then restore the old one."""
-    saved = hamiltonian._INDEX
-    hamiltonian._INDEX = hamiltonian.ExponentIndex()
-    try:
-        yield hamiltonian._INDEX
-    finally:
-        hamiltonian._INDEX = saved
 
 
 def test_eigenvalue_fundamentals():
@@ -47,7 +35,7 @@ def test_eigenvalue_matches_inner_product_form(m, kappa):
 
 
 @given(small_weights)
-def test_eigenvalue_x3_memo_matches_exact_eigenvalue(m):
+def test_eigenvalue_x3_memo_matches_exact_eigenvalue(fresh_index, m):
     expect = 3 * hamiltonian.eigenvalue(m, 1)
     for first, second in ((list(m), m), (m, list(m))):
         with fresh_index() as index:  # the first call computes, the second looks up
@@ -162,7 +150,7 @@ def test_kernel_matches_operator_built_from_the_records():
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_id_kernel_matches_operator_built_from_the_records(data):
+def test_id_kernel_matches_operator_built_from_the_records(fresh_index, data):
     # on an empty index: each round mixes exponents met in earlier rounds,
     # whose ids and rows are memo hits, with exponents that grow the index
     coefs = st.integers(-5, 5).filter(bool)
@@ -185,7 +173,7 @@ def test_id_kernel_matches_operator_built_from_the_records(data):
             seen += new
 
 
-def test_row_diagonal_is_checked_against_the_eigenvalue(monkeypatch):
+def test_row_diagonal_is_checked_against_the_eigenvalue(monkeypatch, fresh_index):
     # the last kernel entry is B[6] = eigenvalue(l6) z6: shift its coefficient
     kernel = list(hamiltonian.tables())
     j, k, same, [(off, c)] = kernel[-1]

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from e6cs import characters, lattice, tensor, verify
@@ -146,6 +148,13 @@ def test_series_json_round_trip():
     obj = series.to_json()
     tops = [tuple(rec["weight"]) for rec in obj["terms"]]
     assert tops[0] == series.top
+
+
+@pytest.mark.parametrize("mult", [2.9, True, 0, -1, "2"])
+def test_series_json_rejects_a_multiplicity_that_is_not_a_positive_int(mult):
+    rec = {"weight": [1, 0, 0, 0, 0, 0], "mult": mult}
+    with pytest.raises(ValueError, match=re.escape(str(rec))):
+        CGSeries.from_json({"factors": [[1, 0, 0, 0, 0, 0]], "terms": [rec]})
 
 
 def test_peeling_detects_negative_multiplicity():
