@@ -28,8 +28,6 @@ CACHE_VERSION = 2
 JSON_VERSION = 1  # of the `char --format json` record, not of the cache
 _TMP_SUFFIX = ".tmp"  # of an entry that _store has not yet published by its rename
 
-FUNDAMENTAL_DIMENSIONS = (27, 78, 351, 2925, 351, 27)
-
 
 @dataclass(frozen=True)
 class Character:
@@ -102,35 +100,47 @@ def character_annihilator(m) -> Character:
     return Character(m, SparsePolynomial(scaled), "annihilator")
 
 
-# value of each monomial at FUNDAMENTAL_DIMENSIONS: the dimension check's memo
+# value of each monomial at lattice.FUNDAMENTAL_DIMENSIONS: the dimension check's memo
 _MONOMIAL_VALUES: dict[Exponent, int] = {}
 
 
 def _dimension(terms: dict[Exponent, int]) -> int:
-    """The integer polynomial with these terms at FUNDAMENTAL_DIMENSIONS."""
+    """The integer polynomial with these terms at lattice.FUNDAMENTAL_DIMENSIONS."""
     total = 0
     for e, c in terms.items():
         v = _MONOMIAL_VALUES.get(e)
         if v is None:
-            v = _MONOMIAL_VALUES[e] = prod(b ** x for b, x in zip(FUNDAMENTAL_DIMENSIONS, e))
+            v = _MONOMIAL_VALUES[e] = prod(
+                b ** x for b, x in zip(lattice.FUNDAMENTAL_DIMENSIONS, e))
         total += c * v
     return total
 
 
 def validate_character(ch: Character) -> None:
-    """Check the four structural invariants; raise on any violation."""
+    """Check the four structural invariants; raise on any violation.
+
+    Monic, integral and dimension are checked on every character.  The
+    eigenfunction identity (3*Delta - eps_w) chi = 0 is met one of two ways.
+    If _MEMORY holds the proven character of sigma(w) = lattice.conjugate(w)
+    and sigma of its polynomial is exactly chi, the proof carries over:
+    (3*Delta - eps_w) chi = sigma((3*Delta - eps_sigma(w)) mate) = 0, since
+    the operator commutes with sigma (a load check of hamiltonian.parse_tables)
+    and w and sigma(w) share their eigenvalue (an import check of lattice).
+    Otherwise, and so for any entry that differs from sigma of its mate, the
+    residual is computed term by term and must vanish."""
     w, terms = ch.weight, ch.poly.terms
     if terms.get(w) != 1:
         raise InternalInconsistencyError(f"character of {w} is not monic")
     if any(type(c) is not int for c in terms.values()):
         raise InternalInconsistencyError(f"character of {w} has non-integer coefficients")
-    # eigenfunction: (3*Delta - 3*eps) chi must vanish term by term
-    acc = hamiltonian.shifted_image_x3(terms, hamiltonian.eigenvalue_x3(w))
-    if any(acc.values()):
-        t, r3 = next((t, r3) for t, r3 in acc.items() if r3)
-        raise InternalInconsistencyError(
-            f"character of {w} is not an eigenfunction: (Delta - eps) chi has "
-            f"residual {coef_to_str(Fraction(r3, 3))} at exponent {t}")
+    mate = _MEMORY.get(lattice.conjugate(w))
+    if mate is None or mate.poly.conjugate_variables() != ch.poly:
+        acc = hamiltonian.shifted_image_x3(terms, hamiltonian.eigenvalue_x3(w))
+        if any(acc.values()):
+            t, r3 = next((t, r3) for t, r3 in acc.items() if r3)
+            raise InternalInconsistencyError(
+                f"character of {w} is not an eigenfunction: (Delta - eps) chi has "
+                f"residual {coef_to_str(Fraction(r3, 3))} at exponent {t}")
     got, expect = _dimension(terms), lattice.weyl_dimension(w)
     if got != expect:
         raise InternalInconsistencyError(
@@ -157,11 +167,9 @@ def cache_key(path: Path) -> lattice.Vec:
     """The weight a cache file is named for; the inverse of cache_path.  Only
     the name cache_path gives a weight is an entry: leading zeros or digits
     other than ASCII make a stray file, which no lookup would read."""
-    parts = path.stem[len("chi_"):].split("-")
-    if len(parts) == 6 and all(p.isascii() and p.isdecimal() for p in parts):
-        key = tuple(map(int, parts))
-        if cache_path(key).name == path.name:
-            return key
+    key = lattice.parse_labels(path.stem[len("chi_"):].split("-"))
+    if key is not None and cache_path(key).name == path.name:
+        return key
     raise CacheCorruptError(f"stray cache entry {path}: name is not chi_<six labels>.json "
                             "with each label in plain decimal")
 
@@ -254,7 +262,10 @@ def _load(m) -> Character | None:
     """The validated cached character of m, or None on a miss.  An entry of
     another format version is a miss, so it is recomputed and overwritten.
     The one reader of an entry: lookups and the dims sweep both call it.  An
-    entry equal to m's character in _MEMORY (proven on entry) is not proven again."""
+    entry equal to m's character in _MEMORY (proven on entry) is not proven
+    again; any other entry goes through validate_character, which takes the
+    eigenfunction proof of an entry equal to sigma of its conjugate's
+    character in _MEMORY from that character, and computes it otherwise."""
     path = cache_path(m)
     try:
         ch = decode_cache_entry(path.read_text())

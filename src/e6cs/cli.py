@@ -19,15 +19,15 @@ from .ring import PolynomialSyntaxError, coef_to_str, parse_polynomial
 
 
 def weight_arg(text: str) -> lattice.Vec:
+    """Six comma-separated labels, each in plain ASCII decimal digits, the
+    rule characters.cache_key applies to entry names."""
     parts = text.split(",")
     if len(parts) != 6:
         raise argparse.ArgumentTypeError(f"expected six comma-separated integers, got {text!r}")
-    try:
-        values = tuple(int(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"non-integer label in {text!r}") from None
-    if any(v < 0 for v in values):
-        raise argparse.ArgumentTypeError(f"labels must be non-negative: {text!r}")
+    values = lattice.parse_labels(parts)
+    if values is None:
+        raise argparse.ArgumentTypeError(
+            f"labels must be non-negative integers in plain decimal digits: {text!r}")
     return values
 
 

@@ -11,12 +11,17 @@ integer-valued operator 3*Delta and divides once at the surface.
 
 The table data ships as a JSON resource, parsed once into one integer kernel
 that holds the second- and first-order terms alike.  Loading re-derives
-nothing, but checks six invariants that would catch any corruption of the
+nothing, but checks seven invariants that would catch any corruption of the
 data file: every record kind is a or b; the records are exactly the 21 pairs
 j <= k and the 6 first-order entries; every exponent is six non-negative
 integers; every coefficient times 3 is an integer; each first-order entry
-is eigenvalue(l_j) z_j; and every monomial shift lies in the root lattice.
-The spectrum 2(m, m + 2*kappa*rho) comes from the lattice's bilinear form.
+is eigenvalue(l_j) z_j; every monomial shift lies in the root lattice; and
+the operator commutes with the diagram symmetry sigma = lattice.conjugate,
+which swaps z1 <-> z6 and z3 <-> z5: the record of (sigma j, sigma k) holds
+sigma of the shifts of the record of (j, k), with the same coefficients.
+The spectrum 2(m, m + 2*kappa*rho) comes from the lattice's bilinear form,
+which sigma fixes too (an import check of lattice), so sigma carries an
+eigenfunction of eigenvalue eps_w to one of the same eigenvalue eps_sigma(w).
 
 The first time the operator meets an exponent, an ExponentIndex gives it a
 small integer id.  Indexed by that id, the index holds the exponent, its
@@ -84,7 +89,7 @@ _RECORD_KEYS = ([("a", (j, k)) for j in range(1, 7) for k in range(j, 7)]
 
 def parse_tables(records: Sequence[dict]) -> Kernel:
     """The integer kernel of the operator from the records of
-    operator_tables.json, with the six load checks of the module docstring.
+    operator_tables.json, with the seven load checks of the module docstring.
 
     A failed check raises InternalInconsistencyError, except a shift outside
     the root lattice, which raises NonIntegralError.
@@ -122,7 +127,28 @@ def parse_tables(records: Sequence[dict]) -> Kernel:
             lattice.to_root_basis(tuple(-x for x in off))  # raises off the root lattice
             entries.append((off, scale * c))
         kernel.append((j - 1, k - 1, int(j == k), entries))
+    _check_diagram_symmetry(kernel)
     return kernel
+
+
+def _record_name(j: int, k: int) -> str:
+    """The table record of kernel entry (j, k), 0-based, k = 6 being first-order."""
+    return f"b[{j + 1}]" if k == 6 else f"a[{j + 1}, {k + 1}]"
+
+
+def _check_diagram_symmetry(kernel: Kernel) -> None:
+    """The seventh load check: sigma = lattice.conjugate commutes with the
+    operator.  For each entry (j, k), the entry of (sigma j, sigma k), sorted,
+    has the same `same` flag and holds exactly sigma of its offsets with the
+    same coefficients; the seventh exponent of the first-order entries stays."""
+    sigma = lattice.conjugate(range(6)) + (6,)
+    entries = {(j, k): (same, dict(terms)) for j, k, same, terms in kernel}
+    for j, k, same, terms in kernel:
+        image = tuple(sorted((sigma[j], sigma[k])))
+        if entries[image] != (same, {lattice.conjugate(off): c for off, c in terms}):
+            raise InternalInconsistencyError(
+                f"table record {_record_name(*image)} is not the diagram-symmetry image "
+                f"of {_record_name(j, k)}")
 
 
 _TABLES: Kernel | None = None
@@ -163,7 +189,7 @@ class ExponentIndex:
             i = self.ids[exp] = len(self.exps)
             self.exps.append(exp)
             self.heights.append(lattice.weight_height(exp))
-            self.eps3.append(2 * lattice.form_x3(exp, [x + 2 for x in exp]))
+            self.eps3.append(lattice.eps3(exp))
             self.rows.append(None)
         return i
 

@@ -124,6 +124,35 @@ for _r in _POSITIVE_ROOTS:
     _WEYL_DENOMINATOR *= height(_r)
 
 
+# the dimensions of the fundamental representations: the point at which a
+# character evaluates to the dimension of its representation
+FUNDAMENTAL_DIMENSIONS: Vec = (27, 78, 351, 2925, 351, 27)
+
+
+def _check_diagram_symmetry(cartan: Sequence[Sequence[int]],
+                            cartan_inverse_x3: Sequence[Sequence[int]],
+                            roots: Sequence[Vec], fundamental_dimensions: Sequence[int]) -> None:
+    """Raise InternalInconsistencyError unless `conjugate`, the permutation
+    (6, 2, 5, 4, 3, 1) of the nodes, is a symmetry of the Dynkin diagram that
+    fixes everything the spectrum and the dimension check read: the Cartan
+    matrix, its scaled inverse (so form_x3 and every eigenvalue agree at w and
+    conjugate(w)), the set of positive roots (so does weyl_dimension) and the
+    fundamental dimensions.  characters.validate_character relies on this
+    when it carries an eigenfunction proof from a character to its conjugate."""
+    p = conjugate(range(6))
+    for name, mat in (("Cartan matrix", cartan), ("inverse Cartan matrix", cartan_inverse_x3)):
+        if any(mat[p[i]][p[j]] != mat[i][j] for i in range(6) for j in range(6)):
+            raise InternalInconsistencyError(f"the diagram symmetry does not fix the {name}")
+    if {conjugate(r) for r in roots} != set(roots):
+        raise InternalInconsistencyError("the diagram symmetry does not permute the positive roots")
+    if conjugate(fundamental_dimensions) != tuple(fundamental_dimensions):
+        raise InternalInconsistencyError(
+            "the diagram symmetry does not fix the fundamental dimensions")
+
+
+_check_diagram_symmetry(CARTAN, CARTAN_INVERSE_X3, _POSITIVE_ROOTS, FUNDAMENTAL_DIMENSIONS)
+
+
 def positive_roots() -> list[Vec]:
     """The 36 positive roots in the root basis, sorted by height then lex."""
     return list(_POSITIVE_ROOTS)
@@ -157,6 +186,12 @@ def from_root_basis(v: Sequence[int]) -> Vec:
 def form_x3(u: Sequence[int], v: Sequence[int]) -> int:
     """3 * (u, v) for weight-basis vectors, an integer for integral ones."""
     return sum(CARTAN_INVERSE_X3[i][j] * u[i] * v[j] for i in range(6) for j in range(6))
+
+
+def eps3(w: Sequence[int]) -> int:
+    """3 * 2(w, w + 2*rho): three times the kappa=1 eigenvalue of the
+    character of w, which is twice the quadratic Casimir (w, w + 2*rho)."""
+    return 2 * form_x3(w, [x + 2 for x in w])
 
 
 def inner_product(u: Sequence[int], v: Sequence[int]) -> Fraction:
@@ -202,6 +237,15 @@ def check_labels(v: Sequence, types: tuple[type, ...] = INTEGER) -> tuple:
         if type(x) not in types:
             raise ValueError(f"labels must be {' or '.join(t.__name__ for t in types)}: {v}")
     return v
+
+
+def parse_labels(parts: Sequence[str]) -> Vec | None:
+    """Six labels, each written in plain ASCII decimal digits, as ints; None
+    for anything else, such as a sign, a space, an underscore or the digits
+    of another script, which int() would accept."""
+    if len(parts) == 6 and all(p.isascii() and p.isdecimal() for p in parts):
+        return tuple(map(int, parts))
+    return None
 
 
 def _check_dominant(m: Sequence[int]) -> Vec:

@@ -11,6 +11,8 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
+from .lattice import conjugate
+
 Exponent = tuple[int, int, int, int, int, int]
 Coef = Union[int, Fraction]
 
@@ -136,8 +138,9 @@ class SparsePolynomial:
         return self.terms.get(tuple(e), 0)
 
     def conjugate_variables(self) -> "SparsePolynomial":
-        """Swap variables 1<->6 and 3<->5 in every exponent."""
-        return _wrap({(e[5], e[1], e[4], e[3], e[2], e[0]): c for e, c in self.terms.items()})
+        """Swap variables 1<->6 and 3<->5 in every exponent: the diagram
+        symmetry lattice.conjugate, which the operator commutes with."""
+        return _wrap({conjugate(e): c for e, c in self.terms.items()})
 
     # -- presentation ----------------------------------------------------------
     def sorted_terms(self) -> list[tuple[Exponent, Coef]]:

@@ -11,6 +11,7 @@ for the series, which is why peeling failures are raised as hard errors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Sequence
 
 from . import lattice
@@ -89,15 +90,26 @@ def _peel(product: SparsePolynomial, factors: tuple[lattice.Vec, ...]) -> CGSeri
 
 
 def _check_series(series: CGSeries) -> None:
+    """The proof obligations of a series besides its zero residual: top
+    multiplicity 1, dimension balance, and the Casimir sum rule.  The second
+    order index dim(V) (V, V + 2 rho) is additive over a tensor product, so
+    sum of mult dim(nu) eps3(nu) over the terms equals the product of the
+    factor dimensions times the sum of their eps3; eps3 comes from the
+    lattice's bilinear form, not from the operator tables."""
+    factors = " x ".join(map(str, series.factors))
     if series.terms.get(series.top) != 1:
         raise InternalInconsistencyError(
             f"top weight {series.top} does not appear with multiplicity 1")
-    expected = 1
-    for f in series.factors:
-        expected *= lattice.weyl_dimension(f)
+    expected = prod(lattice.weyl_dimension(f) for f in series.factors)
     if series.total_dimension() != expected:
+        raise InternalInconsistencyError(f"dimension balance fails for {factors}")
+    casimir = sum(mult * lattice.weyl_dimension(w) * lattice.eps3(w)
+                  for w, mult in series.terms.items())
+    expected_casimir = expected * sum(lattice.eps3(f) for f in series.factors)
+    if casimir != expected_casimir:
         raise InternalInconsistencyError(
-            f"dimension balance fails for {' x '.join(map(str, series.factors))}")
+            f"Casimir sum rule fails for {factors}: the terms give sum mult*dim*eps3 = "
+            f"{casimir}, the factors give dim product * sum eps3 = {expected_casimir}")
 
 
 def tensor_decompose(m: Sequence[int], n: Sequence[int]) -> CGSeries:

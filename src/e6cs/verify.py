@@ -13,8 +13,8 @@ from itertools import product as iproduct
 from typing import Callable, Iterable
 
 from . import golden, hamiltonian, lattice, tensor
-from .characters import (FUNDAMENTAL_DIMENSIONS, _load, cache_entries, cache_key, character,
-                         character_annihilator, character_recursion, validate_character)
+from .characters import (_load, cache_entries, cache_key, character, character_annihilator,
+                         character_recursion, validate_character)
 from .errors import CacheCorruptError, E6CSError
 from .ring import SparsePolynomial
 
@@ -134,8 +134,8 @@ def suite_appendix_b() -> list[Check]:
 def suite_dims() -> list[Check]:
     checks = []
     dims = tuple(lattice.weyl_dimension(lattice.fundamental_weight(k)) for k in range(1, 7))
-    checks.append(_check("fundamental dimensions", dims == FUNDAMENTAL_DIMENSIONS,
-                         FUNDAMENTAL_DIMENSIONS, dims))
+    checks.append(_check("fundamental dimensions", dims == lattice.FUNDAMENTAL_DIMENSIONS,
+                         lattice.FUNDAMENTAL_DIMENSIONS, dims))
     for w, d in golden.tensor_candidates_l3_l4():
         got = lattice.weyl_dimension(w)
         checks.append(_check(f"dim({_label(w)})", got == d, d, got))

@@ -310,6 +310,54 @@ def test_validation_failures_name_the_fault(monkeypatch):
         validate_character(character_recursion((1, 0, 0, 0, 0, 0)))
 
 
+def test_a_mate_that_differs_from_sigma_of_its_proven_partner_gets_the_residual_check(
+        isolated_cache, term_index):
+    w, mate = (1, 0, 0, 0, 0, 2), (2, 0, 0, 0, 0, 1)
+    character(w)
+    character(mate)
+    path = characters.cache_path(mate)
+    payload = json.loads(path.read_text())
+    e = tuple(payload["exps"][6:12])  # the first interior term
+    payload["coefs"][term_index(payload, e)] *= 2
+    path.write_text(json.dumps(payload))
+    characters.clear_memory_cache()
+    character(w)  # proven by its residual, and now in the memory tier
+    with pytest.raises(CacheCorruptError,
+                       match=rf"not an eigenfunction: .* at exponent {re.escape(str(e))}$"):
+        character(mate)
+
+
+def test_each_conjugate_pair_gets_one_residual_pass(isolated_cache, monkeypatch):
+    # the benchmark's query: both factors are self-conjugate, so the set of
+    # characters it needs is closed under the diagram symmetry
+    validated, passes = [], []
+    validate, image = characters.validate_character, hamiltonian.shifted_image_x3
+
+    def counted_validate(ch):
+        validated.append(ch.weight)
+        return validate(ch)
+
+    def counted_image(terms, eps3):
+        passes.append(eps3)
+        return image(terms, eps3)
+
+    monkeypatch.setattr(characters, "validate_character", counted_validate)
+    monkeypatch.setattr(hamiltonian, "shifted_image_x3", counted_image)
+    runs = []
+    for _ in range(2):  # computed on an empty cache, then loaded from it
+        characters.clear_memory_cache()
+        validated.clear()
+        passes.clear()
+        runs.append(tensor_decompose((1, 1, 1, 1, 1, 1), (0, 0, 0, 1, 0, 0)))
+        weights = set(validated)
+        assert len(validated) == len(weights) == 343
+        assert {lattice.conjugate(w) for w in weights} == weights
+        self_conjugate = sum(lattice.conjugate(w) == w for w in weights)
+        pairs = (len(weights) - self_conjugate) // 2
+        assert len(passes) == self_conjugate + pairs == 206
+    assert runs[0] == runs[1] and len(runs[0].terms) == 342
+
+
 def test_cache_unparseable_file(isolated_cache):
     w = (0, 0, 0, 0, 1, 0)
     character(w)

@@ -122,6 +122,12 @@ def test_usage_errors_exit_2(capsys):
     for argv in [("dim", "1,2,3"),
                  ("char", "1,0,0,0,0,x"),
                  ("char", "-1,0,0,0,0,0"),
+                 # labels are plain ASCII decimal, as in cache entry names: int()
+                 # would read 10, 1, 1 and 1 here
+                 ("dim", "1_0,0,0,0,0,0"),
+                 ("dim", "+1,0,0,0,0,0"),
+                 ("dim", " 1,0,0,0,0,0"),
+                 ("dim", "\u0661,0,0,0,0,0"),
                  ("eig", "1,0,0,0,0,0", "--kappa=z"),
                  ("delta", "z1 +"),
                  ("delta", "1/0"),
@@ -130,7 +136,8 @@ def test_usage_errors_exit_2(capsys):
         with pytest.raises(SystemExit) as err:
             main(list(argv))
         assert err.value.code == 2
-        assert "Traceback" not in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
 
 
 def test_computation_error_exits_1(capsys, isolated_cache, term_index):

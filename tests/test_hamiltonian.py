@@ -224,6 +224,9 @@ def _set_coef(records, kind, indices, coef):
      "not in the root lattice"),
     (lambda recs: recs[0]["terms"][0].update(exp=[2, 0, 0, 0, 0]), InternalInconsistencyError,
      "bad exponent (2, 0, 0, 0, 0)"),
+    # a[1,3] no longer maps onto a[5,6] under z1 <-> z6, z3 <-> z5
+    (lambda recs: _set_coef(recs, "a", [1, 3], "13/3"), InternalInconsistencyError,
+     "table record a[5, 6] is not the diagram-symmetry image of a[1, 3]"),
 ])
 def test_table_loader_rejects_corrupt_records(corrupt, error, fault):
     assert hamiltonian.parse_tables(_table_records()) == hamiltonian.tables()

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from e6cs import lattice
-from e6cs.errors import NonIntegralError
+from e6cs.errors import InternalInconsistencyError, NonIntegralError
 
 RHO = (8, 11, 15, 21, 15, 8)
 
@@ -180,3 +180,47 @@ def test_cartan_inverse_exact():
             assert entry.denominator in (1, 3)
             assert sum(lattice.CARTAN[i][k] * lattice.CARTAN_INVERSE[k][j]
                        for k in range(6)) == int(i == j)
+
+
+def _renumbered(mat, perm):
+    return tuple(tuple(mat[perm[i]][perm[j]] for j in range(6)) for i in range(6))
+
+
+SWAP_1_2 = (1, 0, 2, 3, 4, 5)  # E6 with nodes 1 and 2 renumbered: conjugate is no symmetry
+
+
+@pytest.mark.parametrize("part, fault", [
+    ("cartan", "does not fix the Cartan matrix"),
+    ("inverse", "does not fix the inverse Cartan matrix"),
+    ("roots", "does not permute the positive roots"),
+    ("dims", "does not fix the fundamental dimensions"),
+])
+def test_diagram_symmetry_check_rejects_data_it_does_not_fix(part, fault):
+    data = {"cartan": lattice.CARTAN, "inverse": lattice.CARTAN_INVERSE_X3,
+            "roots": lattice.positive_roots(), "dims": lattice.FUNDAMENTAL_DIMENSIONS}
+    lattice._check_diagram_symmetry(*data.values())
+    data[part] = {
+        "cartan": _renumbered(lattice.CARTAN, SWAP_1_2),
+        "inverse": _renumbered(lattice.CARTAN_INVERSE_X3, SWAP_1_2),
+        "roots": [tuple(r[i] for i in SWAP_1_2) for r in lattice.positive_roots()],
+        "dims": (27, 78, 351, 2925, 27, 351),
+    }[part]
+    with pytest.raises(InternalInconsistencyError, match=fault):
+        lattice._check_diagram_symmetry(*data.values())
+
+
+def test_eps3_spot_values_and_conjugation_invariance():
+    assert lattice.eps3((2, 0, 0, 0, 0, 0)) == 224 and lattice.eps3((0, 0, 1, 0, 0, 0)) == 200
+    for m in itertools.product(range(3), repeat=6):
+        assert lattice.eps3(lattice.conjugate(m)) == lattice.eps3(m)
+
+
+@pytest.mark.parametrize("parts, expect", [
+    (["1", "0", "0", "0", "0", "12"], (1, 0, 0, 0, 0, 12)),
+    (["01", "0", "0", "0", "0", "0"], (1, 0, 0, 0, 0, 0)),  # a cache name would be stray
+    (["1_0", "0", "0", "0", "0", "0"], None),
+    (["", "0", "0", "0", "0", "0"], None),
+    (["1", "0", "0", "0", "0"], None),
+])
+def test_parse_labels_takes_plain_ascii_decimal_only(parts, expect):
+    assert lattice.parse_labels(parts) == expect

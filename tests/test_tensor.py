@@ -3,7 +3,8 @@ import re
 import pytest
 
 from e6cs import characters, lattice, tensor, verify
-from e6cs.errors import NegativeMultiplicityError, NonzeroResidualError
+from e6cs.errors import (InternalInconsistencyError, NegativeMultiplicityError,
+                         NonzeroResidualError)
 from e6cs.characters import Character
 from e6cs.ring import parse_polynomial
 from e6cs.tensor import (CGSeries, monomial_decompose, series_z1_times_power,
@@ -184,3 +185,23 @@ def test_zero_multiplicity_candidates_are_dropped():
     series = tensor_decompose(L(1), L(1))
     assert series.terms == {(2, 0, 0, 0, 0, 0): 1, (0, 0, 1, 0, 0, 0): 1, (0, 0, 0, 0, 0, 1): 1}
     assert all(m > 0 for m in series.terms.values())
+
+
+@pytest.mark.parametrize("series", [
+    lambda: tensor_decompose(L(2), L(3)),
+    lambda: monomial_decompose((1, 0, 1, 0, 0, 1)),
+])
+def test_series_check_applies_the_casimir_sum_rule(series):
+    # chi(2,0,0,0,0,0) and chi(0,0,1,0,0,0) both have dimension 351, with eps3
+    # 224 and 200: moving one multiplicity keeps the dimension balance
+    series = series()
+    tensor._check_series(series)
+    terms = dict(series.terms)
+    terms[(2, 0, 0, 0, 0, 0)] += 1
+    terms[(0, 0, 1, 0, 0, 0)] -= 1
+    moved = CGSeries(series.factors, {w: m for w, m in terms.items() if m})
+    assert moved.total_dimension() == series.total_dimension()
+    factors = " x ".join(map(str, series.factors))
+    with pytest.raises(InternalInconsistencyError,
+                       match=re.escape(f"Casimir sum rule fails for {factors}")):
+        tensor._check_series(moved)
