@@ -49,9 +49,7 @@ def character_recursion(m) -> Character:
     heap: list[tuple[int, Exponent, int]] = [(-heights[top], m, top)]  # (-height, exponent, id)
     while heap:
         _, e, i = heappop(heap)
-        contrib = pending.pop(i, None)
-        if contrib is None:
-            continue  # cancelled out entirely before being processed
+        contrib = pending.pop(i)  # each id is pushed once: the operator never raises a weight
         if i == top:
             c = 1
         else:
@@ -202,7 +200,8 @@ def decode_cache_entry(text: str) -> Character | None:
     """Rebuild the character stored in a cache file's text.
 
     An entry is {"weight", "version", "method", "exps", "coefs"}: six
-    exponents per term in `exps`, one integer coefficient per term in `coefs`.
+    exponents per term in `exps`, one integer coefficient per term in `coefs`,
+    and a `method` that names one of _METHODS.
     Returns None for an entry of another format version.  Raises ValueError
     on anything malformed; the invariants are left to validate_character."""
     obj = json.loads(text)
@@ -222,11 +221,14 @@ def decode_cache_entry(text: str) -> Character | None:
         raise ValueError("negative label or exponent")
     if 0 in coefs:
         raise ValueError("zero coefficient")
+    method = obj.get("method")
+    if type(method) is not str or method not in _METHODS:
+        raise ValueError(f"method {method!r} is not one of {', '.join(_METHODS)}")
     it = iter(exps)
     terms = dict(zip(zip(it, it, it, it, it, it), coefs))
     if len(terms) != len(coefs):
         raise ValueError("repeated exponent")
-    return Character(tuple(weight), _wrap(terms), str(obj.get("method", "cache")))
+    return Character(tuple(weight), _wrap(terms), method)
 
 
 def _unusable(path: Path, exc: OSError) -> CacheDirectoryError:

@@ -9,13 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import hamiltonian, lattice, tensor, verify
 from .characters import (cache_dir, cache_entries, cache_key, character, character_to_json,
                          clear_cache, clear_memory_cache)
 from .errors import E6CSError
-from .ring import PolynomialSyntaxError, coef_to_str, parse_polynomial
+from .ring import Coef, PolynomialSyntaxError, coef_from_str, coef_to_str, parse_polynomial
 
 
 def weight_arg(text: str) -> lattice.Vec:
@@ -31,14 +30,17 @@ def weight_arg(text: str) -> lattice.Vec:
     return values
 
 
-def kappa_arg(text: str) -> Fraction:
+def kappa_arg(text: str) -> Coef:
+    """A rational literal as ring.coef_from_str reads it: 1, -2 or 3/2."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return coef_from_str(text)
+    except ValueError:
         raise argparse.ArgumentTypeError(f"not a rational literal: {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb; each subparser binds its handler as `run`,
+    which prints the verb's output and returns its exit code (None for 0)."""
     parser = argparse.ArgumentParser(
         prog="e6cs",
         description="Exact E6 characters and Clebsch-Gordan series via the "
@@ -49,31 +51,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("weight", type=weight_arg)
     p.add_argument("--method", choices=["recursion", "annihilator"], default="recursion")
     p.add_argument("--format", choices=["text", "json"], default="text")
+    p.set_defaults(run=_cmd_char)
 
     p = sub.add_parser("dim", help="dimension of an irreducible representation")
     p.add_argument("weight", type=weight_arg)
+    p.set_defaults(run=lambda args: print(lattice.weyl_dimension(args.weight)))
 
     p = sub.add_parser("eig", help="operator eigenvalue of a weight")
     p.add_argument("weight", type=weight_arg)
-    p.add_argument("--kappa", type=kappa_arg, default=Fraction(1))
+    p.add_argument("--kappa", type=kappa_arg, default=1)
+    p.set_defaults(run=lambda args: print(
+        coef_to_str(hamiltonian.eigenvalue(args.weight, args.kappa))))
 
     p = sub.add_parser("tensor", help="Clebsch-Gordan series of a product of irreducibles")
     p.add_argument("left", type=weight_arg)
     p.add_argument("right", type=weight_arg)
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=lambda args: _print_series(
+        tensor.tensor_decompose(args.left, args.right), args.json))
 
     p = sub.add_parser("monomial", help="decompose a bare monomial in z1..z6")
     p.add_argument("exponent", type=weight_arg)
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=lambda args: _print_series(
+        tensor.monomial_decompose(args.exponent), args.json))
 
     p = sub.add_parser("delta", help="apply the kappa=1 operator to a polynomial expression")
     p.add_argument("expression")
+    p.set_defaults(run=lambda args: print(
+        hamiltonian.apply_delta(parse_polynomial(args.expression))))
 
     p = sub.add_parser("verify", help="run verification suites against the shipped data")
     p.add_argument("--suite", choices=sorted(verify.SUITES) + ["all"], default="all")
+    p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("cache", help="character cache administration")
     p.add_argument("action", choices=["info", "clear", "validate"])
+    p.set_defaults(run=_cmd_cache)
 
     return parser
 
@@ -86,32 +100,26 @@ def _print_series(series: tensor.CGSeries, as_json: bool) -> None:
         print(f"({','.join(str(x) for x in w)}) x {mult}")
 
 
-def _cmd_char(args) -> int:
+def _cmd_char(args) -> None:
     ch = character(args.weight, method=args.method)
     if args.format == "json":
         print(json.dumps(character_to_json(ch)))
     else:
         print(ch.poly)
-    return 0
 
 
 def _cmd_verify(args) -> int:
     names = sorted(verify.SUITES) if args.suite == "all" else [args.suite]
-    failed = 0
-    total = 0
-    for name, checks in verify.run_suites(names):
-        for check in checks:
-            total += 1
-            if check.ok:
-                print(f"ok   [{name}] {check.name}")
-            else:
-                failed += 1
-                print(f"FAIL [{name}] {check.name}: {check.detail}")
-    print(f"{total - failed}/{total} checks passed")
-    return 1 if failed else 0
+    results = [(name, check) for name in names for check in verify.SUITES[name]()]
+    for name, check in results:  # every suite has run before the first line prints
+        print(f"ok   [{name}] {check.name}" if check.ok
+              else f"FAIL [{name}] {check.name}: {check.detail}")
+    passed = sum(check.ok for _, check in results)
+    print(f"{passed}/{len(results)} checks passed")
+    return 0 if passed == len(results) else 1
 
 
-def _cmd_cache(args) -> int:
+def _cmd_cache(args) -> None:
     directory = cache_dir()
     if args.action == "info":
         print(f"cache directory: {directory}")
@@ -127,39 +135,15 @@ def _cmd_cache(args) -> int:
         for path in entries:
             character(cache_key(path))
         print(f"validated {len(entries)} entries in {directory}")
-    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.verb == "char":
-            return _cmd_char(args)
-        if args.verb == "dim":
-            print(lattice.weyl_dimension(args.weight))
-            return 0
-        if args.verb == "eig":
-            print(coef_to_str(hamiltonian.eigenvalue(args.weight, args.kappa)))
-            return 0
-        if args.verb == "tensor":
-            _print_series(tensor.tensor_decompose(args.left, args.right), args.json)
-            return 0
-        if args.verb == "monomial":
-            _print_series(tensor.monomial_decompose(args.exponent), args.json)
-            return 0
-        if args.verb == "delta":
-            try:
-                poly = parse_polynomial(args.expression)
-            except PolynomialSyntaxError as exc:
-                parser.error(str(exc))  # exits 2
-            print(hamiltonian.apply_delta(poly))
-            return 0
-        if args.verb == "verify":
-            return _cmd_verify(args)
-        if args.verb == "cache":
-            return _cmd_cache(args)
-        raise AssertionError(f"unhandled verb {args.verb}")
+        return args.run(args) or 0
+    except PolynomialSyntaxError as exc:
+        parser.error(str(exc))  # exits 2
     except E6CSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

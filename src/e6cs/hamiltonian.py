@@ -11,14 +11,17 @@ integer-valued operator 3*Delta and divides once at the surface.
 
 The table data ships as a JSON resource, parsed once into one integer kernel
 that holds the second- and first-order terms alike.  Loading re-derives
-nothing, but checks seven invariants that would catch any corruption of the
-data file: every record kind is a or b; the records are exactly the 21 pairs
-j <= k and the 6 first-order entries; every exponent is six non-negative
-integers; every coefficient times 3 is an integer; each first-order entry
-is eigenvalue(l_j) z_j; every monomial shift lies in the root lattice; and
-the operator commutes with the diagram symmetry sigma = lattice.conjugate,
-which swaps z1 <-> z6 and z3 <-> z5: the record of (sigma j, sigma k) holds
-sigma of the shifts of the record of (j, k), with the same coefficients.
+nothing, but checks eight invariants of the data file: every record kind is
+a or b; the records are exactly the 21 pairs j <= k and the 6 first-order
+entries; every exponent is six non-negative integers; every coefficient is
+a rational literal (ring.coef_from_str) whose triple is an integer; each
+first-order entry is eigenvalue(l_j) z_j; every monomial shift lies in the
+root lattice; the operator commutes with the diagram symmetry
+sigma = lattice.conjugate, which swaps z1 <-> z6 and z3 <-> z5: the record
+of (sigma j, sigma k) holds sigma of the shifts of the record of (j, k), with
+the same coefficients; and the operator never raises a weight: every shift
+is minus a sum of simple roots, so every term off the diagonal lowers the
+height.  The checks prove the data self-consistent, not right.
 The spectrum 2(m, m + 2*kappa*rho) comes from the lattice's bilinear form,
 which sigma fixes too (an import check of lattice), so sigma carries an
 eigenfunction of eigenvalue eps_w to one of the same eigenvalue eps_sigma(w).
@@ -42,7 +45,7 @@ from typing import Sequence, Union
 
 from . import lattice
 from .errors import InternalInconsistencyError
-from .ring import Coef, Exponent, SparsePolynomial, _norm
+from .ring import Coef, Exponent, SparsePolynomial, _norm, coef_from_str
 
 Rational = Union[int, Fraction]
 
@@ -89,7 +92,7 @@ _RECORD_KEYS = ([("a", (j, k)) for j in range(1, 7) for k in range(j, 7)]
 
 def parse_tables(records: Sequence[dict]) -> Kernel:
     """The integer kernel of the operator from the records of
-    operator_tables.json, with the seven load checks of the module docstring.
+    operator_tables.json, with the eight load checks of the module docstring.
 
     A failed check raises InternalInconsistencyError, except a shift outside
     the root lattice, which raises NonIntegralError.
@@ -99,15 +102,18 @@ def parse_tables(records: Sequence[dict]) -> Kernel:
         kind, idx = rec["kind"], tuple(rec["indices"])
         if kind not in ("a", "b"):
             raise InternalInconsistencyError(f"unknown table record kind {kind!r}")
+        name = f"table record {kind}{list(idx)}"
         terms: dict[Exponent, int] = {}
         for t in rec["terms"]:
             e = tuple(t["exp"])
             if len(e) != 6 or any(type(x) is not int or x < 0 for x in e):
-                raise InternalInconsistencyError(f"table record {kind}{list(idx)}: bad exponent {e}")
-            c3 = 3 * Fraction(t["coef"])
+                raise InternalInconsistencyError(f"{name}: bad exponent {e}")
+            try:
+                c3 = 3 * coef_from_str(t["coef"])
+            except ValueError as exc:
+                raise InternalInconsistencyError(f"{name}: {exc}") from None
             if c3.denominator != 1:
-                raise InternalInconsistencyError(
-                    f"table record {kind}{list(idx)}: denominator of {t['coef']} exceeds 3")
+                raise InternalInconsistencyError(f"{name}: denominator of {t['coef']} exceeds 3")
             terms[e] = terms.get(e, 0) + int(c3)
         parsed.append((kind, idx, {e: c for e, c in terms.items() if c}))
     parsed.sort(key=lambda rec: rec[:2])
@@ -117,14 +123,18 @@ def parse_tables(records: Sequence[dict]) -> Kernel:
     for kind, idx, terms in parsed:
         j, k = idx if kind == "a" else (idx[0], 7)
         lj = lattice.fundamental_weight(j)
-        if kind == "b" and terms != {lj: eigenvalue_x3(lj)}:
+        if kind == "b" and terms != {lj: lattice.eps3(lj)}:
             raise InternalInconsistencyError(
                 f"first-order coefficient {j} is not the eigenvalue multiple of z{j}")
         scale = 1 if kind == "b" or j == k else 2
         entries = []
         for e, c in terms.items():
             off = tuple(x - (i == j - 1) - (i == k - 1) for i, x in enumerate(e))
-            lattice.to_root_basis(tuple(-x for x in off))  # raises off the root lattice
+            drop = lattice.to_root_basis(tuple(-x for x in off))  # raises off the root lattice
+            if min(drop) < 0:
+                raise InternalInconsistencyError(
+                    f"table record {kind}{list(idx)}: the term at exponent {e} raises the "
+                    f"weight: its shift {off} is not minus a sum of simple roots")
             entries.append((off, scale * c))
         kernel.append((j - 1, k - 1, int(j == k), entries))
     _check_diagram_symmetry(kernel)

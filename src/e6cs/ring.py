@@ -30,8 +30,20 @@ def coef_to_str(c: Coef) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-def coef_from_str(s: Union[str, int]) -> Coef:
-    return _norm(Fraction(s))
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def coef_from_str(s: str) -> Coef:
+    """The rational written as s in the form coef_to_str writes: an optional
+    minus sign and ASCII decimal digits, then optionally a slash and ASCII
+    decimal digits.  Raises ValueError on any other text, on a zero
+    denominator and on anything that is not a str."""
+    if type(s) is not str or not _RATIONAL.fullmatch(s):
+        raise ValueError(f"not a rational literal: {s!r}")
+    num, _, den = s.partition("/")
+    if den and not int(den):
+        raise ValueError(f"zero denominator in {s!r}")
+    return _norm(Fraction(int(num), int(den or 1)))
 
 
 def grlex_key(e: Exponent) -> tuple:
@@ -194,7 +206,7 @@ def _wrap(terms: dict) -> SparsePolynomial:
 # Expression parser for the command line:  integers, rationals p/q, z1..z6,
 # + - * ^ and parentheses.
 # ---------------------------------------------------------------------------
-_TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|(z[1-6])|([()+\-*^]))")
+_TOKEN = re.compile(r"\s*(?:([0-9]+(?:/[0-9]+)?)|(z[1-6])|([()+\-*^]))")
 
 
 class PolynomialSyntaxError(ValueError):
@@ -272,11 +284,14 @@ def parse_polynomial(text: str) -> SparsePolynomial:
         if tok and (tok[0].isdigit()):
             try:
                 return SparsePolynomial.constant(coef_from_str(tok))
-            except ZeroDivisionError:
-                raise PolynomialSyntaxError(f"zero denominator in {tok!r}") from None
+            except ValueError as exc:  # a zero denominator, or more digits than int() reads
+                raise PolynomialSyntaxError(str(exc)) from None
         raise PolynomialSyntaxError(f"unexpected token {tok!r}")
 
-    result = parse_sum()
+    try:
+        result = parse_sum()
+    except RecursionError:
+        raise PolynomialSyntaxError("parentheses nest too deeply") from None
     if peek() != "":
         raise PolynomialSyntaxError(f"trailing input near {peek()!r}")
     return result

@@ -189,7 +189,3 @@ SUITES: dict[str, Callable[[], list[Check]]] = {
     "dims": suite_dims,
     "duality": suite_duality,
 }
-
-
-def run_suites(names: Iterable[str]) -> list[tuple[str, list[Check]]]:
-    return [(name, SUITES[name]()) for name in names]

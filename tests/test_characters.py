@@ -1,5 +1,6 @@
 import json
 import re
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -184,6 +185,10 @@ def _same_dimension_non_eigenfunction(payload, at):
     payload["coefs"].append(13)
 
 
+def _unknown_method(payload, at):
+    payload["method"] = ["x"]  # once printed by `char --format json` as "['x']"
+
+
 @pytest.mark.parametrize("corrupt, reason", [
     (_shorten_exps, "17 exponents for 3 coefficients"),
     (_negative_exponent, "negative label or exponent"),
@@ -191,6 +196,7 @@ def _same_dimension_non_eigenfunction(payload, at):
     (_true_coefficient, "must be integers"),
     (_zero_coefficient, "zero coefficient"),
     (_repeated_exponent, "repeated exponent"),
+    (_unknown_method, r"method \['x'\] is not one of recursion, annihilator"),
     (_foreign_weight, r"holds the character of \(0, 0, 0, 0, 0, 2\)"),
     (_same_dimension_non_eigenfunction, "not an eigenfunction: .* residual 520 at"),
 ])
@@ -304,6 +310,10 @@ def test_validation_failures_name_the_fault(monkeypatch):
         validate_character(characters.Character(w, SparsePolynomial(bumped), "recursion"))
     msg = str(info.value)
     assert str(w) in msg and "not an eigenfunction" in msg and f"at exponent {e}" in msg
+    halved = characters.Character(w, SparsePolynomial({w: 1, e: Fraction(1, 2)}), "golden")
+    with pytest.raises(InternalInconsistencyError,
+                       match=re.escape(f"character of {w} has non-integer coefficients")):
+        validate_character(halved)
     monkeypatch.setattr(lattice, "weyl_dimension", lambda m: 1)
     with pytest.raises(InternalInconsistencyError,
                        match=r"evaluates to 27, expected the Weyl dimension 1\b"):
@@ -407,6 +417,18 @@ def test_recursion_detects_eigenvalue_collision(fresh_index):
         character_recursion(w)
         index.eps3[:] = [0] * len(index.eps3)
         with pytest.raises(ZeroDenominatorError):
+            character_recursion(w)
+
+
+def test_recursion_detects_a_non_integer_coefficient(fresh_index):
+    # chi(2,0,0,0,0,0) = z1^2 - z3 - z6: z3 gets contribution -24 over the gap
+    # 224 - 200 = 24; lower eps3 of z3 by one and the gap no longer divides it
+    w, z3 = (2, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)
+    with fresh_index() as index:
+        character_recursion(w)
+        index.eps3[index.ids[z3]] -= 1
+        with pytest.raises(InternalInconsistencyError, match=re.escape(
+                f"non-integer coefficient at {z3} while computing the character of {w}")):
             character_recursion(w)
 
 

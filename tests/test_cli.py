@@ -76,6 +76,9 @@ def test_eig(capsys):
     code, out, _ = run(capsys, "eig", "1,0,0,0,0,0", "--kappa=1/2")
     assert code == 0
     assert out.strip() == "56/3"
+    code, out, _ = run(capsys, "eig", "1,0,0,0,0,0", "--kappa=3/2")
+    assert code == 0
+    assert out.strip() == "152/3"
 
 
 def test_tensor_text(capsys):
@@ -99,6 +102,12 @@ def test_monomial(capsys):
     code, out, _ = run(capsys, "monomial", "0,0,0,0,0,1")
     assert code == 0
     assert out.strip() == "(0,0,0,0,0,1) x 1"
+
+
+def test_monomial_trivial(capsys):
+    code, out, _ = run(capsys, "monomial", "0,0,0,0,0,0")
+    assert code == 0
+    assert out == "(0,0,0,0,0,0) x 1\n"
 
 
 def test_monomial_z1z2z3(capsys):
@@ -129,15 +138,29 @@ def test_usage_errors_exit_2(capsys):
                  ("dim", " 1,0,0,0,0,0"),
                  ("dim", "\u0661,0,0,0,0,0"),
                  ("eig", "1,0,0,0,0,0", "--kappa=z"),
+                 # a rational literal is what ring.coef_to_str writes: Fraction()
+                 # would read 10, 1, 1, 1, 100 and 3/2 here
+                 ("eig", "1,0,0,0,0,0", "--kappa=1_0"),
+                 ("eig", "1,0,0,0,0,0", "--kappa= 1"),
+                 ("eig", "1,0,0,0,0,0", "--kappa=+1"),
+                 ("eig", "1,0,0,0,0,0", "--kappa=\u0661"),
+                 ("eig", "1,0,0,0,0,0", "--kappa=1e2"),
+                 ("eig", "1,0,0,0,0,0", "--kappa=1.5"),
+                 ("eig", "1,0,0,0,0,0", "--kappa=1/0"),
                  ("delta", "z1 +"),
                  ("delta", "1/0"),
                  ("delta", "z1 + 2/0"),
+                 ("delta", "\u0663*z1"),
+                 ("delta", "(" * 3000 + "z1" + ")" * 3000),
                  ("bogus",)]:
         with pytest.raises(SystemExit) as err:
             main(list(argv))
         assert err.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
+        lines = captured.err.splitlines()  # the usage, then one error line
+        assert lines[0].startswith("usage: e6cs") and lines[-1].startswith("e6cs")
+        assert [": error: " in line for line in lines].count(True) == 1
 
 
 def test_computation_error_exits_1(capsys, isolated_cache, term_index):

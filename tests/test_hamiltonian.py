@@ -213,6 +213,11 @@ def _set_coef(records, kind, indices, coef):
     rec["terms"][0]["coef"] = coef
 
 
+def _add_term(records, kind, indices, exp, coef):
+    rec = next(r for r in records if r["kind"] == kind and r["indices"] == indices)
+    rec["terms"].append({"exp": exp, "coef": coef})
+
+
 @pytest.mark.parametrize("corrupt, error, fault", [
     (lambda recs: recs[0].update(kind="c"), InternalInconsistencyError, "unknown table record kind 'c'"),
     (lambda recs: recs.pop(7), InternalInconsistencyError, "index set is wrong"),
@@ -227,6 +232,14 @@ def _set_coef(records, kind, indices, coef):
     # a[1,3] no longer maps onto a[5,6] under z1 <-> z6, z3 <-> z5
     (lambda recs: _set_coef(recs, "a", [1, 3], "13/3"), InternalInconsistencyError,
      "table record a[5, 6] is not the diagram-symmetry image of a[1, 3]"),
+    # Fraction() would read 3/2 and 10 here
+    (lambda recs: _set_coef(recs, "a", [2, 4], "1.5"), InternalInconsistencyError,
+     "table record a[2, 4]: not a rational literal: '1.5'"),
+    (lambda recs: _set_coef(recs, "b", [3], "2_00/3"), InternalInconsistencyError,
+     "table record b[3]: not a rational literal: '2_00/3'"),
+    # a shift of +l2, the highest root: in the root lattice and fixed by sigma
+    (lambda recs: _add_term(recs, "a", [1, 6], [1, 1, 0, 0, 0, 1], "2"), InternalInconsistencyError,
+     "table record a[1, 6]: the term at exponent (1, 1, 0, 0, 0, 1) raises the weight"),
 ])
 def test_table_loader_rejects_corrupt_records(corrupt, error, fault):
     assert hamiltonian.parse_tables(_table_records()) == hamiltonian.tables()
@@ -234,3 +247,9 @@ def test_table_loader_rejects_corrupt_records(corrupt, error, fault):
     corrupt(records)
     with pytest.raises(error, match=re.escape(fault)):
         hamiltonian.parse_tables(records)
+
+
+def test_parsing_the_tables_leaves_the_exponent_index_alone(fresh_index):
+    with fresh_index() as index:
+        hamiltonian.parse_tables(_table_records())
+        assert index.exps == [] and index.ids == {}

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from e6cs.ring import (PolynomialSyntaxError, SparsePolynomial, coef_to_str,
+from e6cs.ring import (PolynomialSyntaxError, SparsePolynomial, coef_from_str, coef_to_str,
                        parse_polynomial)
 
 DIMS = (27, 78, 351, 2925, 351, 27)
@@ -125,10 +125,28 @@ def test_coef_to_str():
     assert coef_to_str(Fraction(-4, 2)) == "-2"
 
 
+@given(coefficients)
+def test_coef_from_str_reads_what_coef_to_str_writes(c):
+    text = coef_to_str(c)
+    assert coef_from_str(text) == c
+    assert type(coef_from_str(text)) is (int if Fraction(c).denominator == 1 else Fraction)
+
+
+def test_coef_from_str_reads_only_the_written_form():
+    assert coef_from_str("-4/6") == Fraction(-2, 3) and coef_from_str("6/3") == 2
+    # forms Fraction() reads, and a zero denominator
+    for bad in ["1_0", " 1", "1 ", "+1", "\u0661", "1e2", "1.5", "-", "1/", "/2", "1/-2",
+                "1/0", "", 1, Fraction(1, 2)]:
+        with pytest.raises(ValueError):
+            coef_from_str(bad)
+
+
 def test_parser_rejects_bad_input():
-    for bad in ["z7", "z1 +", "2 z1", "z1^", "(z1", "z1^-2", "q"]:
+    for bad in ["z7", "z1 +", "2 z1", "z1^", "(z1", "z1^-2", "q", "\u0663*z1", "z1^\u0662",
+                "(" * 3000 + "z1" + ")" * 3000]:
         with pytest.raises(PolynomialSyntaxError):
             parse_polynomial(bad)
+    assert parse_polynomial("(" * 50 + "z1" + ")" * 50) == z(1)
 
 
 def test_parser_rational_and_parentheses():

@@ -205,3 +205,17 @@ def test_series_check_applies_the_casimir_sum_rule(series):
     with pytest.raises(InternalInconsistencyError,
                        match=re.escape(f"Casimir sum rule fails for {factors}")):
         tensor._check_series(moved)
+
+
+@pytest.mark.parametrize("change, fault", [
+    (lambda terms: terms.update({(2, 0, 0, 0, 0, 0): 2}),
+     "top weight (2, 0, 0, 0, 0, 0) does not appear with multiplicity 1"),
+    (lambda terms: terms.pop((0, 0, 0, 0, 0, 1)),
+     "dimension balance fails for (1, 0, 0, 0, 0, 0) x (1, 0, 0, 0, 0, 0)"),
+])
+def test_series_check_applies_top_multiplicity_and_dimension_balance(change, fault):
+    series = tensor_decompose(L(1), L(1))
+    terms = dict(series.terms)
+    change(terms)
+    with pytest.raises(InternalInconsistencyError, match=re.escape(fault)):
+        tensor._check_series(CGSeries(series.factors, terms))
