@@ -21,7 +21,7 @@ from pathlib import Path
 from . import hamiltonian, lattice
 from .errors import (CacheCorruptError, CacheDirectoryError, DegenerateScaleError,
                      InternalInconsistencyError, ZeroDenominatorError)
-from .ring import Exponent, SparsePolynomial, _norm, _wrap, coef_to_str
+from .ring import Exponent, SparsePolynomial, _wrap, coef_to_str
 
 CACHE_ENV = "E6CS_CACHE_DIR"
 CACHE_VERSION = 2
@@ -33,7 +33,7 @@ _TMP_SUFFIX = ".tmp"  # of an entry that _store has not yet published by its ren
 class Character:
     weight: lattice.Vec
     poly: SparsePolynomial
-    method: str  # recursion | annihilator | golden | cache
+    method: str  # recursion | annihilator
 
 
 def character_recursion(m) -> Character:
@@ -90,12 +90,8 @@ def character_annihilator(m) -> Character:
     if not lead:
         raise DegenerateScaleError(
             f"annihilator product destroyed the leading monomial of {m}")
-    scaled = {}
-    for e, c in poly.items():
-        q = _norm(Fraction(c, lead))
-        if q:
-            scaled[e] = q
-    return Character(m, SparsePolynomial(scaled), "annihilator")
+    return Character(m, SparsePolynomial({e: Fraction(c, lead) for e, c in poly.items()}),
+                     "annihilator")
 
 
 # value of each monomial at lattice.FUNDAMENTAL_DIMENSIONS: the dimension check's memo
@@ -117,22 +113,25 @@ def _dimension(terms: dict[Exponent, int]) -> int:
 def validate_character(ch: Character) -> None:
     """Check the four structural invariants; raise on any violation.
 
-    Monic, integral and dimension are checked on every character.  The
-    eigenfunction identity (3*Delta - eps_w) chi = 0 is met one of two ways.
-    If _MEMORY holds the proven character of sigma(w) = lattice.conjugate(w)
-    and sigma of its polynomial is exactly chi, the proof carries over:
-    (3*Delta - eps_w) chi = sigma((3*Delta - eps_sigma(w)) mate) = 0, since
-    the operator commutes with sigma (a load check of hamiltonian.parse_tables)
-    and w and sigma(w) share their eigenvalue (an import check of lattice).
-    Otherwise, and so for any entry that differs from sigma of its mate, the
-    residual is computed term by term and must vanish."""
+    The one rule for when a proof is inherited.  Monic, integral and
+    dimension are checked on every character.  The eigenfunction identity
+    (3*Delta - eps_w) chi = 0 is inherited, with no residual pass, when chi
+    is exactly a polynomial this process has already proven (every character
+    in _MEMORY passed this function): the character of w itself, or sigma of
+    the character of sigma(w) = lattice.conjugate(w).  The second carries
+    over because (3*Delta - eps_w) chi = sigma((3*Delta - eps_sigma(w)) mate)
+    = 0: the operator commutes with sigma (a load check of
+    hamiltonian.parse_tables) and w and sigma(w) share their eigenvalue (an
+    import check of lattice).  Any other polynomial gets the residual pass,
+    computed term by term, which must vanish."""
     w, terms = ch.weight, ch.poly.terms
     if terms.get(w) != 1:
         raise InternalInconsistencyError(f"character of {w} is not monic")
     if any(type(c) is not int for c in terms.values()):
         raise InternalInconsistencyError(f"character of {w} has non-integer coefficients")
-    mate = _MEMORY.get(lattice.conjugate(w))
-    if mate is None or mate.poly.conjugate_variables() != ch.poly:
+    known, mate = _MEMORY.get(w), _MEMORY.get(lattice.conjugate(w))
+    if not (known is not None and known.poly == ch.poly
+            or mate is not None and mate.poly.conjugate_variables() == ch.poly):
         acc = hamiltonian.shifted_image_x3(terms, hamiltonian.eigenvalue_x3(w))
         if any(acc.values()):
             t, r3 = next((t, r3) for t, r3 in acc.items() if r3)
@@ -188,12 +187,6 @@ def character_to_json(ch: Character) -> dict:
         "method": ch.method,
         "version": JSON_VERSION,
     }
-
-
-def character_from_json(obj: dict) -> Character:
-    weight = lattice._check_dominant(obj["weight"])
-    poly = SparsePolynomial.from_records(obj["terms"])
-    return Character(weight, poly, str(obj.get("method", "cache")))
 
 
 def decode_cache_entry(text: str) -> Character | None:
@@ -263,11 +256,9 @@ def _store(ch: Character) -> None:
 def _load(m) -> Character | None:
     """The validated cached character of m, or None on a miss.  An entry of
     another format version is a miss, so it is recomputed and overwritten.
-    The one reader of an entry: lookups and the dims sweep both call it.  An
-    entry equal to m's character in _MEMORY (proven on entry) is not proven
-    again; any other entry goes through validate_character, which takes the
-    eigenfunction proof of an entry equal to sigma of its conjugate's
-    character in _MEMORY from that character, and computes it otherwise."""
+    The one reader of an entry: lookups and the dims sweep both call it, and
+    every entry it returns has passed validate_character, which alone decides
+    whether the entry's eigenfunction proof is inherited."""
     path = cache_path(m)
     try:
         ch = decode_cache_entry(path.read_text())
@@ -282,9 +273,7 @@ def _load(m) -> Character | None:
     try:
         if ch.weight != tuple(m):
             raise InternalInconsistencyError(f"entry holds the character of {ch.weight}")
-        known = _MEMORY.get(ch.weight)
-        if known is None or known.poly != ch.poly:
-            validate_character(ch)
+        validate_character(ch)
     except InternalInconsistencyError as exc:
         raise CacheCorruptError(f"invalid cache entry {path}: {exc}") from exc
     return ch
@@ -310,8 +299,11 @@ def clear_cache() -> tuple[int, int]:
 
 
 def character(m, method: str = "recursion") -> Character:
-    """Cache-first character lookup; computes, validates and persists on miss."""
+    """Cache-first character lookup; computes, validates and persists on miss.
+    method must name one of _METHODS, on a hit as on a miss."""
     m = lattice._check_dominant(m)
+    if type(method) is not str or method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}")
     hit = _MEMORY.get(m)
     if hit is not None:
         return hit
@@ -319,11 +311,7 @@ def character(m, method: str = "recursion") -> Character:
     if hit is not None:
         _MEMORY[m] = hit
         return hit
-    try:
-        compute = _METHODS[method]
-    except KeyError:
-        raise ValueError(f"unknown method {method!r}") from None
-    ch = compute(m)
+    ch = _METHODS[method](m)
     validate_character(ch)
     _store(ch)
     _MEMORY[m] = ch

@@ -11,8 +11,8 @@ import json
 import sys
 
 from . import hamiltonian, lattice, tensor, verify
-from .characters import (cache_dir, cache_entries, cache_key, character, character_to_json,
-                         clear_cache, clear_memory_cache)
+from .characters import (_METHODS, cache_dir, cache_entries, cache_key, character,
+                         character_to_json, clear_cache, clear_memory_cache)
 from .errors import E6CSError
 from .ring import Coef, PolynomialSyntaxError, coef_from_str, coef_to_str, parse_polynomial
 
@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("char", help="irreducible character as a polynomial in z1..z6")
     p.add_argument("weight", type=weight_arg)
-    p.add_argument("--method", choices=["recursion", "annihilator"], default="recursion")
+    p.add_argument("--method", choices=list(_METHODS), default="recursion")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(run=_cmd_char)
 

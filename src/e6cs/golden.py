@@ -12,7 +12,7 @@ import json
 from functools import lru_cache
 from importlib import resources
 
-from .lattice import Vec, conjugate
+from .lattice import Vec, _check_dominant, conjugate
 from .ring import SparsePolynomial
 from .tensor import CGSeries
 
@@ -23,13 +23,13 @@ def _read(name: str) -> object:
 
 @lru_cache(maxsize=None)
 def characters_degree2() -> dict[Vec, SparsePolynomial]:
-    return {tuple(rec["weight"]): SparsePolynomial.from_records(rec["terms"])
+    return {_check_dominant(rec["weight"]): SparsePolynomial.from_records(rec["terms"])
             for rec in _read("characters_degree2.json")}
 
 
 @lru_cache(maxsize=None)
 def characters_degree3() -> dict[Vec, SparsePolynomial]:
-    return {tuple(rec["weight"]): SparsePolynomial.from_records(rec["terms"])
+    return {_check_dominant(rec["weight"]): SparsePolynomial.from_records(rec["terms"])
             for rec in _read("characters_degree3.json")}
 
 
@@ -40,15 +40,18 @@ def series_quadratic() -> list[CGSeries]:
 
 @lru_cache(maxsize=None)
 def series_cubic() -> list[tuple[Vec, CGSeries]]:
-    out = []
-    for rec in _read("series_cubic.json"):
-        out.append((tuple(rec["monomial"]), CGSeries.from_json(rec)))
-    return out
+    return [(_check_dominant(rec["monomial"]), CGSeries.from_json(rec))
+            for rec in _read("series_cubic.json")]
 
 
 @lru_cache(maxsize=None)
 def tensor_candidates_l3_l4() -> list[tuple[Vec, int]]:
-    return [(tuple(rec["weight"]), int(rec["dim"])) for rec in _read("tensor_candidates_l3_l4.json")]
+    out = []
+    for rec in _read("tensor_candidates_l3_l4.json"):
+        if type(rec["dim"]) is not int:
+            raise ValueError(f"dimension must be an int: {rec}")
+        out.append((_check_dominant(rec["weight"]), rec["dim"]))
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -13,10 +13,10 @@ The table data ships as a JSON resource, parsed once into one integer kernel
 that holds the second- and first-order terms alike.  Loading re-derives
 nothing, but checks eight invariants of the data file: every record kind is
 a or b; the records are exactly the 21 pairs j <= k and the 6 first-order
-entries; every exponent is six non-negative integers; every coefficient is
-a rational literal (ring.coef_from_str) whose triple is an integer; each
-first-order entry is eigenvalue(l_j) z_j; every monomial shift lies in the
-root lattice; the operator commutes with the diagram symmetry
+entries; every exponent is six non-negative ints (lattice._check_dominant);
+every coefficient is a rational literal (ring.coef_from_str) whose triple is
+an integer; each first-order entry is eigenvalue(l_j) z_j; every monomial
+shift lies in the root lattice; the operator commutes with the diagram symmetry
 sigma = lattice.conjugate, which swaps z1 <-> z6 and z3 <-> z5: the record
 of (sigma j, sigma k) holds sigma of the shifts of the record of (j, k), with
 the same coefficients; and the operator never raises a weight: every shift
@@ -105,10 +105,8 @@ def parse_tables(records: Sequence[dict]) -> Kernel:
         name = f"table record {kind}{list(idx)}"
         terms: dict[Exponent, int] = {}
         for t in rec["terms"]:
-            e = tuple(t["exp"])
-            if len(e) != 6 or any(type(x) is not int or x < 0 for x in e):
-                raise InternalInconsistencyError(f"{name}: bad exponent {e}")
             try:
+                e = lattice._check_dominant(t["exp"])
                 c3 = 3 * coef_from_str(t["coef"])
             except ValueError as exc:
                 raise InternalInconsistencyError(f"{name}: {exc}") from None

@@ -74,9 +74,11 @@ def height(v: Iterable[int]) -> int:
 
 
 def fundamental_weight(k: int) -> Vec:
-    """Dynkin labels of the k-th fundamental weight, 1-based."""
-    if not 1 <= k <= 6:
-        raise ValueError(f"fundamental weight index out of range: {k}")
+    """Dynkin labels of the k-th fundamental weight, 1-based.  The one check
+    of a variable or fundamental-weight index: an int (never a bool) from 1
+    to 6, else ValueError."""
+    if type(k) is not int or not 1 <= k <= 6:
+        raise ValueError(f"index must be an int from 1 to 6: {k!r}")
     return tuple(int(i == k - 1) for i in range(6))
 
 

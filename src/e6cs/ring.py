@@ -11,7 +11,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .lattice import conjugate
+from .lattice import _check_dominant, conjugate, fundamental_weight
 
 Exponent = tuple[int, int, int, int, int, int]
 Coef = Union[int, Fraction]
@@ -76,9 +76,7 @@ class SparsePolynomial:
 
     @classmethod
     def variable(cls, j: int) -> "SparsePolynomial":
-        if not 1 <= j <= 6:
-            raise ValueError(f"variable index out of range: {j}")
-        return cls({tuple(int(i == j - 1) for i in range(6)): 1})
+        return cls({fundamental_weight(j): 1})
 
     @classmethod
     def monomial(cls, e: Sequence[int], c: Coef = 1) -> "SparsePolynomial":
@@ -126,9 +124,7 @@ class SparsePolynomial:
     # -- calculus and structure maps -----------------------------------------
     def partial_derivative(self, j: int) -> "SparsePolynomial":
         """Formal derivative with respect to z_j, 1-based."""
-        if not 1 <= j <= 6:
-            raise ValueError(f"variable index out of range: {j}")
-        i = j - 1
+        i = fundamental_weight(j).index(1)
         out: dict[Exponent, Coef] = {}
         for e, c in self.terms.items():
             if e[i]:
@@ -166,9 +162,7 @@ class SparsePolynomial:
     def from_records(cls, records: Iterable[Mapping]) -> "SparsePolynomial":
         out: dict[Exponent, Coef] = {}
         for rec in records:
-            e = tuple(rec["exp"])
-            if len(e) != 6 or any(type(x) is not int or x < 0 for x in e):
-                raise ValueError(f"bad exponent {e}")
+            e = _check_dominant(rec["exp"])
             out[e] = _norm(out.get(e, 0) + coef_from_str(rec["coef"]))
         return _wrap({e: c for e, c in out.items() if c})
 

@@ -132,11 +132,9 @@ def monomial_decompose(exp: Sequence[int]) -> CGSeries:
 
 def series_z1_times_power(k: int, n: int) -> CGSeries:
     """Decompose z1 * chi(n * l_k), which is the product l1 x n*l_k: z1 is chi(l1)."""
-    if not 1 <= k <= 6:
-        raise ValueError(f"fundamental index out of range: {k}")
-    if n < 1:
-        raise ValueError(f"power must be positive: {n}")
     l1, lk = lattice.fundamental_weight(1), lattice.fundamental_weight(k)
+    if type(n) is not int or n < 1:
+        raise ValueError(f"power must be an int of at least 1: {n!r}")
     return tensor_decompose(l1, tuple(n * x for x in lk))
 
 

@@ -3,7 +3,10 @@ wall-clock budget and prints a pass line with its runtime; the tables below
 pin the facts no suite states.  Every comparison is exact; the only
 tolerances are the stated budgets."""
 
+import re
 import time
+
+import pytest
 
 from e6cs import golden, tensor, verify
 
@@ -14,6 +17,44 @@ REFERENCE_SIZES = {
     golden.series_cubic: 31,
     golden.tensor_candidates_l3_l4: 14,
 }
+
+
+
+@pytest.fixture
+def planted_reference(monkeypatch):
+    """The loaders of golden read the files of this dict instead of the
+    shipped ones; their caches are emptied before and after."""
+    def forget():
+        for loader in (*REFERENCE_SIZES, golden.all_characters):
+            loader.cache_clear()
+
+    files = {}
+    forget()
+    monkeypatch.setattr(golden, "_read", files.__getitem__)
+    yield files
+    forget()
+
+
+@pytest.mark.parametrize("name, records, fault", [
+    ("characters_degree2.json", [{"weight": [1.5, 0, 0, 0, 0, 0], "terms": []}],
+     "(1.5, 0, 0, 0, 0, 0)"),
+    ("characters_degree3.json", [{"weight": [0, 0, -1, 0, 0, 0], "terms": []}],
+     "not a dominant weight: (0, 0, -1, 0, 0, 0)"),
+    ("series_cubic.json", [{"monomial": [1, 0, 0], "factors": [], "terms": []}],
+     "not a vector of six labels: (1, 0, 0)"),
+    ("tensor_candidates_l3_l4.json", [{"weight": [True, 0, 0, 0, 0, 0], "dim": 27}],
+     "(True, 0, 0, 0, 0, 0)"),
+    # int() would round this to 2925
+    ("tensor_candidates_l3_l4.json", [{"weight": [0, 0, 0, 1, 0, 0], "dim": 2925.9}],
+     "dimension must be an int"),
+])
+def test_reference_weights_and_dimensions_are_read_exactly(planted_reference, name, records,
+                                                           fault):
+    planted_reference[name] = records
+    loader = getattr(golden, name.removesuffix(".json"))
+    with pytest.raises(ValueError, match=re.escape(fault)):
+        loader()
+
 
 # spot multiplicities of two shipped series; the l3 x l4 ones include the five
 # left to the dimension count and the lowest term, pinned jointly by the

@@ -269,23 +269,38 @@ def test_dims_sweep_proves_an_entry_that_differs_from_the_memory_tier(isolated_c
 
 
 def test_dims_sweep_does_not_prove_again_what_this_process_stored(isolated_cache, monkeypatch):
-    weights = [(2, 0, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0)]
+    weights = [(2, 0, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0)]  # neither is the other's mate
     for w in weights:
         character(w)
-    calls = []
-    validate = characters.validate_character
+    residual_passes = []
+    shifted_image_x3 = hamiltonian.shifted_image_x3
 
-    def counted(ch):
-        calls.append(ch.weight)
-        return validate(ch)
+    def counted(terms, shift3):
+        residual_passes.append(dict(terms))
+        return shifted_image_x3(terms, shift3)
 
-    monkeypatch.setattr(characters, "validate_character", counted)
+    monkeypatch.setattr(hamiltonian, "shifted_image_x3", counted)
     dims = {c.name: c.ok for c in verify.suite_dims()}
     assert all(dims.values()) and "cached entries swept: 2" in dims
-    assert calls == []
+    assert residual_passes == []
     # `cache validate` empties the memory tier first, so it proves every entry
     assert main(["cache", "validate"]) == 0
-    assert sorted(calls) == sorted(weights)
+    assert residual_passes == [characters._MEMORY[w].poly.terms  # in entry-name order
+                               for w in sorted(weights)]
+
+
+def test_an_unknown_method_is_rejected_on_a_hit_as_on_a_miss(isolated_cache):
+    w = (1, 0, 0, 0, 0, 0)
+    for method in ("bogus", ["recursion"], None):
+        with pytest.raises(ValueError, match=re.escape(f"unknown method {method!r}")):
+            character(w, method=method)  # a miss
+    character(w)
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        character(w, method="bogus")  # a memory hit
+    characters.clear_memory_cache()
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        character(w, method="bogus")  # a cache hit
+    assert w not in characters._MEMORY
 
 
 def test_verify_renders_polynomials_only_for_a_failed_check(monkeypatch):
@@ -310,7 +325,7 @@ def test_validation_failures_name_the_fault(monkeypatch):
         validate_character(characters.Character(w, SparsePolynomial(bumped), "recursion"))
     msg = str(info.value)
     assert str(w) in msg and "not an eigenfunction" in msg and f"at exponent {e}" in msg
-    halved = characters.Character(w, SparsePolynomial({w: 1, e: Fraction(1, 2)}), "golden")
+    halved = characters.Character(w, SparsePolynomial({w: 1, e: Fraction(1, 2)}), "recursion")
     with pytest.raises(InternalInconsistencyError,
                        match=re.escape(f"character of {w} has non-integer coefficients")):
         validate_character(halved)
@@ -387,10 +402,10 @@ def test_unreadable_entry_in_a_usable_directory_is_corrupt(isolated_cache):
 
 def test_character_json_serialization():
     ch = character((1, 0, 1, 0, 0, 0))
-    again = characters.character_from_json(characters.character_to_json(ch))
-    assert again.weight == ch.weight
-    assert again.poly == ch.poly
-    assert again.method == ch.method
+    record = json.loads(json.dumps(characters.character_to_json(ch)))
+    assert tuple(record["weight"]) == ch.weight
+    assert SparsePolynomial.from_records(record["terms"]) == ch.poly
+    assert record["method"] == ch.method
 
 
 def test_rejects_negative_labels():
@@ -401,7 +416,6 @@ def test_rejects_negative_labels():
                     lambda w: tensor_decompose(w, (1, 0, 0, 0, 0, 0)),
                     lambda w: tensor_decompose((1, 0, 0, 0, 0, 0), w),
                     monomial_decompose, hamiltonian.monomial_expansion,
-                    lambda w: characters.character_from_json({"weight": w, "terms": []}),
                     lambda w: CGSeries.from_json({"factors": [w], "terms": []}),
                     lambda w: SparsePolynomial.from_records([{"exp": w, "coef": "1"}])]
     for w in ((1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0), (0, 0, -1, 0, 0, 0), (1.5, 0, 0, 0, 0, 0)):

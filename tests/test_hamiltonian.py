@@ -227,8 +227,13 @@ def _add_term(records, kind, indices, exp, coef):
      "first-order coefficient 3 is not the eigenvalue multiple of z3"),
     (lambda recs: recs[0]["terms"][0].update(exp=[1, 0, 0, 0, 0, 0]), NonIntegralError,
      "not in the root lattice"),
+    # an exponent is read as lattice._check_dominant reads a weight
     (lambda recs: recs[0]["terms"][0].update(exp=[2, 0, 0, 0, 0]), InternalInconsistencyError,
-     "bad exponent (2, 0, 0, 0, 0)"),
+     "table record a[1, 1]: not a vector of six labels: (2, 0, 0, 0, 0)"),
+    (lambda recs: recs[0]["terms"][0].update(exp=[2, 0, 0, 0, 0, -1]), InternalInconsistencyError,
+     "table record a[1, 1]: not a dominant weight: (2, 0, 0, 0, 0, -1)"),
+    (lambda recs: recs[0]["terms"][0].update(exp=[True, 0, 0, 0, 0, 0]), InternalInconsistencyError,
+     "table record a[1, 1]: labels must be int: (True, 0, 0, 0, 0, 0)"),
     # a[1,3] no longer maps onto a[5,6] under z1 <-> z6, z3 <-> z5
     (lambda recs: _set_coef(recs, "a", [1, 3], "13/3"), InternalInconsistencyError,
      "table record a[5, 6] is not the diagram-symmetry image of a[1, 3]"),

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from e6cs.lattice import fundamental_weight
 from e6cs.ring import (PolynomialSyntaxError, SparsePolynomial, coef_from_str, coef_to_str,
                        parse_polynomial)
 
@@ -43,6 +44,18 @@ def test_partial_derivative_examples():
     assert parse_polynomial("z1^3").partial_derivative(1) == parse_polynomial("3*z1^2")
     assert parse_polynomial("z1").partial_derivative(2) == SparsePolynomial.zero()
     assert parse_polynomial("z4^2*z6 - z4").partial_derivative(4) == parse_polynomial("2*z4*z6 - 1")
+
+
+def test_a_variable_index_is_a_fundamental_weight_index():
+    p = parse_polynomial("z1^2*z6 + z3")
+    for j in range(1, 7):
+        assert z(j) == SparsePolynomial.monomial(fundamental_weight(j))
+    # a range test alone would pass 1.5, whose monomial is the constant 1
+    for j in (0, 7, 1.5, True, -1):
+        with pytest.raises(ValueError, match="index must be an int from 1 to 6"):
+            SparsePolynomial.variable(j)
+        with pytest.raises(ValueError, match="index must be an int from 1 to 6"):
+            p.partial_derivative(j)
 
 
 def test_evaluate_examples():

@@ -135,10 +135,14 @@ def test_series_z1_times_power_examples():
 
 
 def test_series_z1_times_power_validates_arguments():
-    with pytest.raises(ValueError):
-        series_z1_times_power(0, 2)
-    with pytest.raises(ValueError):
-        series_z1_times_power(1, 0)
+    # the index is read as lattice.fundamental_weight reads it: a range test
+    # alone would pass 1.5, whose weight is zero, and read True as 1
+    for k in (0, 7, 1.5, True):
+        with pytest.raises(ValueError, match="index must be an int from 1 to 6"):
+            series_z1_times_power(k, 2)
+    for n in (0, -1, 1.5, True):
+        with pytest.raises(ValueError, match="power must be an int of at least 1"):
+            series_z1_times_power(1, n)
 
 
 def test_series_json_round_trip():
