@@ -73,7 +73,7 @@ def character_recursion(m) -> Character:
             else:
                 pending[t] = c * k3
                 heappush(heap, (-heights[t], exps[t], t))
-    return Character(m, SparsePolynomial(coeffs), "recursion")
+    return Character(m, _wrap(coeffs), "recursion")
 
 
 def character_annihilator(m) -> Character:

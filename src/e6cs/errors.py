@@ -35,3 +35,7 @@ class CacheCorruptError(E6CSError):
 
 class CacheDirectoryError(E6CSError):
     """The cache directory cannot be read or written."""
+
+
+class BudgetExceededError(E6CSError):
+    """An input asks for more work than a fixed limit allows."""

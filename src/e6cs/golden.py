@@ -12,7 +12,7 @@ import json
 from functools import lru_cache
 from importlib import resources
 
-from .lattice import Vec, _check_dominant, conjugate
+from .lattice import Vec, _check_dominant, conjugate, read_keyed
 from .ring import SparsePolynomial
 from .tensor import CGSeries
 
@@ -21,16 +21,19 @@ def _read(name: str) -> object:
     return json.loads(resources.files("e6cs.data").joinpath(name).read_text())
 
 
+def _characters(name: str) -> dict[Vec, SparsePolynomial]:
+    return read_keyed(_read(name), "weight",
+                      lambda rec: SparsePolynomial.from_records(rec["terms"]))
+
+
 @lru_cache(maxsize=None)
 def characters_degree2() -> dict[Vec, SparsePolynomial]:
-    return {_check_dominant(rec["weight"]): SparsePolynomial.from_records(rec["terms"])
-            for rec in _read("characters_degree2.json")}
+    return _characters("characters_degree2.json")
 
 
 @lru_cache(maxsize=None)
 def characters_degree3() -> dict[Vec, SparsePolynomial]:
-    return {_check_dominant(rec["weight"]): SparsePolynomial.from_records(rec["terms"])
-            for rec in _read("characters_degree3.json")}
+    return _characters("characters_degree3.json")
 
 
 @lru_cache(maxsize=None)

@@ -13,9 +13,10 @@ The table data ships as a JSON resource, parsed once into one integer kernel
 that holds the second- and first-order terms alike.  Loading re-derives
 nothing, but checks eight invariants of the data file: every record kind is
 a or b; the records are exactly the 21 pairs j <= k and the 6 first-order
-entries; every exponent is six non-negative ints (lattice._check_dominant);
-every coefficient is a rational literal (ring.coef_from_str) whose triple is
-an integer; each first-order entry is eigenvalue(l_j) z_j; every monomial
+entries; SparsePolynomial.from_records reads each record's terms, so every
+exponent is six non-negative ints and none repeats, and every coefficient
+is a rational literal (ring.coef_from_str) whose triple is an integer;
+each first-order entry is eigenvalue(l_j) z_j; every monomial
 shift lies in the root lattice; the operator commutes with the diagram symmetry
 sigma = lattice.conjugate, which swaps z1 <-> z6 and z3 <-> z5: the record
 of (sigma j, sigma k) holds sigma of the shifts of the record of (j, k), with
@@ -45,7 +46,7 @@ from typing import Sequence, Union
 
 from . import lattice
 from .errors import InternalInconsistencyError
-from .ring import Coef, Exponent, SparsePolynomial, _norm, coef_from_str
+from .ring import Coef, Exponent, SparsePolynomial, _norm, _wrap, coef_to_str
 
 Rational = Union[int, Fraction]
 
@@ -103,17 +104,15 @@ def parse_tables(records: Sequence[dict]) -> Kernel:
         if kind not in ("a", "b"):
             raise InternalInconsistencyError(f"unknown table record kind {kind!r}")
         name = f"table record {kind}{list(idx)}"
-        terms: dict[Exponent, int] = {}
-        for t in rec["terms"]:
-            try:
-                e = lattice._check_dominant(t["exp"])
-                c3 = 3 * coef_from_str(t["coef"])
-            except ValueError as exc:
-                raise InternalInconsistencyError(f"{name}: {exc}") from None
-            if c3.denominator != 1:
-                raise InternalInconsistencyError(f"{name}: denominator of {t['coef']} exceeds 3")
-            terms[e] = terms.get(e, 0) + int(c3)
-        parsed.append((kind, idx, {e: c for e, c in terms.items() if c}))
+        try:
+            terms = SparsePolynomial.from_records(rec["terms"]).terms
+        except ValueError as exc:
+            raise InternalInconsistencyError(f"{name}: {exc}") from None
+        for c in terms.values():
+            if (3 * c).denominator != 1:
+                raise InternalInconsistencyError(
+                    f"{name}: denominator of {coef_to_str(c)} exceeds 3")
+        parsed.append((kind, idx, {e: int(3 * c) for e, c in terms.items()}))
     parsed.sort(key=lambda rec: rec[:2])
     if [rec[:2] for rec in parsed] != _RECORD_KEYS:
         raise InternalInconsistencyError("operator table index set is wrong")
@@ -265,7 +264,7 @@ def shifted_image_x3(terms: dict[Exponent, Coef], eps3: int) -> dict[Exponent, C
 def apply_delta(p: SparsePolynomial) -> SparsePolynomial:
     """Apply the kappa=1 operator to a polynomial, exactly."""
     third = Fraction(1, 3)
-    return SparsePolynomial({e: v * third for e, v in shifted_image_x3(p.terms, 0).items()})
+    return _wrap({e: _norm(v * third) for e, v in shifted_image_x3(p.terms, 0).items() if v})
 
 
 def monomial_expansion(n: Sequence[int]) -> list[tuple[lattice.Vec, Rational]]:

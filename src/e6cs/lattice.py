@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InternalInconsistencyError, NonIntegralError
 
@@ -255,6 +255,18 @@ def _check_dominant(m: Sequence[int]) -> Vec:
     if any(x < 0 for x in m):
         raise ValueError(f"not a dominant weight: {m}")
     return m
+
+
+def read_keyed(records: Iterable[Mapping], key: str, read: Callable[[Mapping], object]) -> dict:
+    """{_check_dominant(rec[key]): read(rec)} over JSON records, the one reader of
+    a list keyed by weight or exponent: ValueError on a bad or a repeated key."""
+    out = {}
+    for rec in records:
+        m = _check_dominant(rec[key])
+        if m in out:
+            raise ValueError(f"repeated {key} {m}")
+        out[m] = read(rec)
+    return out
 
 
 # Each positive root as a step in Dynkin labels.

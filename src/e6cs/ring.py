@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Mapping, Sequence, Union
 
-from .lattice import _check_dominant, conjugate, fundamental_weight
+from .errors import BudgetExceededError
+from .lattice import RATIONAL, _check_dominant, conjugate, fundamental_weight, read_keyed
 
 Exponent = tuple[int, int, int, int, int, int]
 Coef = Union[int, Fraction]
@@ -23,6 +25,14 @@ def _norm(c: Coef) -> Coef:
     if isinstance(c, Fraction) and c.denominator == 1:
         return c.numerator
     return c
+
+
+def _check_coef(c: Coef) -> Coef:
+    """c, normalized, if it is exactly an int or a Fraction: never a float, a
+    bool or a str.  ValueError naming the value otherwise."""
+    if type(c) not in RATIONAL:
+        raise ValueError(f"coefficient must be int or Fraction: {c!r}")
+    return _norm(c)
 
 
 def coef_to_str(c: Coef) -> str:
@@ -52,7 +62,12 @@ def grlex_key(e: Exponent) -> tuple:
 
 
 class SparsePolynomial:
-    """A polynomial over the rationals keyed by exponent 6-tuples."""
+    """A polynomial over the rationals keyed by exponent 6-tuples.
+
+    The constructor is the checked door for terms from outside: each
+    exponent is read as lattice._check_dominant reads a weight and each
+    coefficient must be an int or a Fraction.  Arithmetic builds its results
+    through _wrap, unchecked."""
 
     __slots__ = ("terms",)
 
@@ -60,9 +75,9 @@ class SparsePolynomial:
         clean: dict[Exponent, Coef] = {}
         if terms:
             for e, c in terms.items():
-                c = _norm(c)
+                e, c = _check_dominant(e), _check_coef(c)
                 if c:
-                    clean[tuple(e)] = c
+                    clean[e] = c
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
@@ -110,7 +125,7 @@ class SparsePolynomial:
         return _wrap({e: _norm(c) for e, c in out.items() if c})
 
     def scaled(self, s: Coef) -> "SparsePolynomial":
-        s = _norm(s)
+        s = _check_coef(s)
         if not s:
             return SparsePolynomial()
         return _wrap({e: _norm(c * s) for e, c in self.terms.items()})
@@ -160,10 +175,8 @@ class SparsePolynomial:
 
     @classmethod
     def from_records(cls, records: Iterable[Mapping]) -> "SparsePolynomial":
-        out: dict[Exponent, Coef] = {}
-        for rec in records:
-            e = _check_dominant(rec["exp"])
-            out[e] = _norm(out.get(e, 0) + coef_from_str(rec["coef"]))
+        """The polynomial of to_records' records; ValueError on a bad or repeated term."""
+        out = read_keyed(records, "exp", lambda rec: coef_from_str(rec["coef"]))
         return _wrap({e: c for e, c in out.items() if c})
 
     def __str__(self) -> str:
@@ -202,13 +215,36 @@ def _wrap(terms: dict) -> SparsePolynomial:
 # ---------------------------------------------------------------------------
 _TOKEN = re.compile(r"\s*(?:([0-9]+(?:/[0-9]+)?)|(z[1-6])|([()+\-*^]))")
 
+# The most terms a sum may collect, and the most term products a product or
+# a power may multiply out.  At the limit, `delta` on the 10,000 distinct terms
+# of (z1^0 + ... + z1^99)*(z4^0 + ... + z4^99) took 4.9 s and 157 MB on a
+# 2-core Intel Xeon VM.
+TERM_LIMIT = 10_000
+
 
 class PolynomialSyntaxError(ValueError):
     pass
 
 
+def _literal(tok: str) -> Coef:
+    """tok as coef_from_str reads it; its failure, a zero denominator or more
+    digits than int() reads, is a syntax error."""
+    try:
+        return coef_from_str(tok)
+    except ValueError as exc:
+        raise PolynomialSyntaxError(str(exc)) from None
+
+
+def _check_budget(what: str, bound: int, unit: str) -> None:
+    if bound > TERM_LIMIT:
+        raise BudgetExceededError(f"{what} needs {bound} {unit}, over the limit of {TERM_LIMIT}")
+
+
 def parse_polynomial(text: str) -> SparsePolynomial:
-    """Parse a polynomial expression such as 'z1^2 - 2*z3 + 1/3'."""
+    """Parse a polynomial expression such as 'z1^2 - 2*z3 + 1/3'.
+
+    PolynomialSyntaxError on malformed text; BudgetExceededError, before any
+    work, on a sum, product or power over TERM_LIMIT."""
     tokens: list[str] = []
     pos = 0
     while pos < len(text):
@@ -219,73 +255,67 @@ def parse_polynomial(text: str) -> SparsePolynomial:
             break
         tokens.append(m.group(0).strip())
         pos = m.end()
-    tokens.append("")  # sentinel
-
-    idx = 0
-
-    def peek() -> str:
-        return tokens[idx]
-
-    def take() -> str:
-        nonlocal idx
-        tok = tokens[idx]
-        idx += 1
-        return tok
+    tokens.append("")  # the end of input, the last token popped
+    tokens.reverse()
 
     def parse_sum() -> SparsePolynomial:
-        sign = 1
-        while peek() in ("+", "-"):
-            if take() == "-":
-                sign = -sign
-        acc = parse_product().scaled(sign)
-        while peek() in ("+", "-"):
+        acc = SparsePolynomial()
+        while True:
             sign = 1
-            while peek() in ("+", "-"):
-                if take() == "-":
+            while tokens[-1] in ("+", "-"):
+                if tokens.pop() == "-":
                     sign = -sign
-            acc = acc + parse_product().scaled(sign)
-        return acc
+            term = parse_product().scaled(sign)
+            _check_budget("a sum", len(acc.terms) + len(term.terms), "terms")
+            acc = acc + term
+            if tokens[-1] not in ("+", "-"):
+                return acc
 
     def parse_product() -> SparsePolynomial:
         acc = parse_power()
-        while peek() == "*":
-            take()
-            acc = acc * parse_power()
+        while tokens[-1] == "*":
+            tokens.pop()
+            factor = parse_power()
+            _check_budget("a product", len(acc.terms) * len(factor.terms), "term products")
+            acc = acc * factor
         return acc
 
     def parse_power() -> SparsePolynomial:
         base = parse_atom()
-        if peek() == "^":
-            take()
-            n = take()
-            if not n.isdigit():
-                raise PolynomialSyntaxError("exponent must be a non-negative integer")
-            out = SparsePolynomial.constant(1)
-            for _ in range(int(n)):
-                out = out * base
-            return out
-        return base
+        if tokens[-1] != "^":
+            return base
+        tokens.pop()
+        n = tokens.pop()
+        if not n.isdigit():
+            raise PolynomialSyntaxError("exponent must be a non-negative integer")
+        n, t = _literal(n), len(base.terms)
+        _check_budget(f"a power ^{n}", n, "multiplications")  # first, so comb() stays small
+        # step i multiplies at most C(i + t - 1, t - 1) terms by t: n * C(n + t - 1, t - 1) in all
+        if t:
+            _check_budget(f"a power ^{n} of {t} terms", n * comb(n + t - 1, t - 1),
+                          "term products")
+        out = SparsePolynomial.constant(1)
+        for _ in range(n):
+            out = out * base
+        return out
 
     def parse_atom() -> SparsePolynomial:
-        tok = take()
+        tok = tokens.pop()
         if tok == "(":
             inner = parse_sum()
-            if take() != ")":
+            if tokens.pop() != ")":
                 raise PolynomialSyntaxError("unbalanced parenthesis")
             return inner
         if tok.startswith("z"):
             return SparsePolynomial.variable(int(tok[1]))
-        if tok and (tok[0].isdigit()):
-            try:
-                return SparsePolynomial.constant(coef_from_str(tok))
-            except ValueError as exc:  # a zero denominator, or more digits than int() reads
-                raise PolynomialSyntaxError(str(exc)) from None
+        if tok[:1].isdigit():
+            return SparsePolynomial.constant(_literal(tok))
         raise PolynomialSyntaxError(f"unexpected token {tok!r}")
 
     try:
         result = parse_sum()
     except RecursionError:
         raise PolynomialSyntaxError("parentheses nest too deeply") from None
-    if peek() != "":
-        raise PolynomialSyntaxError(f"trailing input near {peek()!r}")
+    if tokens[-1]:
+        raise PolynomialSyntaxError(f"trailing input near {tokens[-1]!r}")
     return result

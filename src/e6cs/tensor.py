@@ -59,8 +59,7 @@ class CGSeries:
         for rec in obj["terms"]:
             if type(rec["mult"]) is not int or rec["mult"] < 1:
                 raise ValueError(f"multiplicity must be a positive int: {rec}")
-        terms = {lattice._check_dominant(rec["weight"]): rec["mult"] for rec in obj["terms"]}
-        return cls(factors, terms)
+        return cls(factors, lattice.read_keyed(obj["terms"], "weight", lambda rec: rec["mult"]))
 
 
 def _peel(product: SparsePolynomial, factors: tuple[lattice.Vec, ...]) -> CGSeries:

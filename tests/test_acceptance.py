@@ -44,6 +44,16 @@ def planted_reference(monkeypatch):
      "not a vector of six labels: (1, 0, 0)"),
     ("tensor_candidates_l3_l4.json", [{"weight": [True, 0, 0, 0, 0, 0], "dim": 27}],
      "(True, 0, 0, 0, 0, 0)"),
+    # a repeated weight: the last record would replace the first
+    ("characters_degree2.json", [{"weight": [2, 0, 0, 0, 0, 0], "terms": []},
+                                 {"weight": [2, 0, 0, 0, 0, 0], "terms": []}],
+     "repeated weight (2, 0, 0, 0, 0, 0)"),
+    ("characters_degree3.json", [{"weight": [0, 0, 0, 1, 0, 0], "terms": []},
+                                 {"weight": [0, 0, 0, 1, 0, 0], "terms": []}],
+     "repeated weight (0, 0, 0, 1, 0, 0)"),
+    ("series_quadratic.json", [{"factors": [], "terms": [{"weight": [0] * 6, "mult": 1},
+                                                         {"weight": [0] * 6, "mult": 1}]}],
+     "repeated weight (0, 0, 0, 0, 0, 0)"),
     # int() would round this to 2925
     ("tensor_candidates_l3_l4.json", [{"weight": [0, 0, 0, 1, 0, 0], "dim": 2925.9}],
      "dimension must be an int"),

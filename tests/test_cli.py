@@ -152,6 +152,7 @@ def test_usage_errors_exit_2(capsys):
                  ("delta", "z1 + 2/0"),
                  ("delta", "\u0663*z1"),
                  ("delta", "(" * 3000 + "z1" + ")" * 3000),
+                 ("delta", "z1^" + "9" * 5000),  # past the digit limit of int()
                  ("bogus",)]:
         with pytest.raises(SystemExit) as err:
             main(list(argv))
@@ -161,6 +162,13 @@ def test_usage_errors_exit_2(capsys):
         lines = captured.err.splitlines()  # the usage, then one error line
         assert lines[0].startswith("usage: e6cs") and lines[-1].startswith("e6cs")
         assert [": error: " in line for line in lines].count(True) == 1
+
+
+def test_delta_over_its_budget_exits_1(capsys):
+    code, out, err = run(capsys, "delta", "(z1 + z2 + z3 + z4 + z5 + z6)^10")
+    assert (code, out) == (1, "")
+    assert err == ("error: a power ^10 of 6 terms needs 30030 term products, "
+                   "over the limit of 10000\n")
 
 
 def test_computation_error_exits_1(capsys, isolated_cache, term_index):

@@ -242,6 +242,9 @@ def _add_term(records, kind, indices, exp, coef):
      "table record a[2, 4]: not a rational literal: '1.5'"),
     (lambda recs: _set_coef(recs, "b", [3], "2_00/3"), InternalInconsistencyError,
      "table record b[3]: not a rational literal: '2_00/3'"),
+    # a repeated term, which once doubled this coefficient and passed every other check
+    (lambda recs: _add_term(recs, "a", [2, 4], [1, 1, 0, 0, 0, 1], "-8"),
+     InternalInconsistencyError, "table record a[2, 4]: repeated exp (1, 1, 0, 0, 0, 1)"),
     # a shift of +l2, the highest root: in the root lattice and fixed by sigma
     (lambda recs: _add_term(recs, "a", [1, 6], [1, 1, 0, 0, 0, 1], "2"), InternalInconsistencyError,
      "table record a[1, 6]: the term at exponent (1, 1, 0, 0, 0, 1) raises the weight"),

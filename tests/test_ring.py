@@ -1,12 +1,15 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from e6cs.errors import BudgetExceededError
+from e6cs.hamiltonian import apply_delta
 from e6cs.lattice import fundamental_weight
-from e6cs.ring import (PolynomialSyntaxError, SparsePolynomial, coef_from_str, coef_to_str,
-                       parse_polynomial)
+from e6cs.ring import (TERM_LIMIT, PolynomialSyntaxError, SparsePolynomial, coef_from_str,
+                       coef_to_str, parse_polynomial)
 
 DIMS = (27, 78, 351, 2925, 351, 27)
 
@@ -162,5 +165,96 @@ def test_parser_rejects_bad_input():
     assert parse_polynomial("(" * 50 + "z1" + ")" * 50) == z(1)
 
 
+def _int_limit_message(digits: str) -> str:
+    try:
+        int(digits)
+    except ValueError as exc:
+        return str(exc)
+    pytest.skip("this Python reads integers of any length")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("z1 + q", "unexpected input at ' q'"),
+    ("z1^-2", "exponent must be a non-negative integer"),
+    ("z1^1/3", "exponent must be a non-negative integer"),
+    ("z1^", "exponent must be a non-negative integer"),
+    ("(z1 + z2", "unbalanced parenthesis"),
+    ("z1 +", "unexpected token ''"),
+    ("", "unexpected token ''"),
+    ("2 z1", "trailing input near 'z1'"),
+    ("1/3*(z1 - z2) z3", "trailing input near 'z3'"),
+    ("z1 + 1/0", "zero denominator in '1/0'"),
+    ("1" + "9" * 5000, None),  # a literal past the digit limit of int()
+    ("z1^" + "9" * 5000, None),  # an exponent past it
+    ("(" * 3000 + "z1" + ")" * 3000, "parentheses nest too deeply"),
+])
+def test_parser_error_messages_are_pinned(text, message):
+    if message is None:
+        message = _int_limit_message(text.rpartition("^")[2])
+    with pytest.raises(PolynomialSyntaxError) as err:
+        parse_polynomial(text)
+    assert str(err.value) == message
+
+
 def test_parser_rational_and_parentheses():
     assert parse_polynomial("1/3*(z1 - z2)^2").evaluate((4, 1, 0, 0, 0, 0)) == 3
+
+
+@pytest.mark.parametrize("build, fault", [
+    # once rendered z1^1.5*z2, the -1 as a first power
+    (lambda: SparsePolynomial.monomial((1.5, -1, 0)), "not a vector of six labels: (1.5, -1, 0)"),
+    # once z1^-1, whose image printed as -88/3*z1 - 8*z1*z3 - 40*z1*z6
+    (lambda: apply_delta(SparsePolynomial.monomial((-1, 0, 0, 0, 0, 0))),
+     "not a dominant weight: (-1, 0, 0, 0, 0, 0)"),
+    # once the float 4878899596318037/281474976710656*z1
+    (lambda: apply_delta(SparsePolynomial({(1, 0, 0, 0, 0, 0): 0.5})),
+     "coefficient must be int or Fraction: 0.5"),
+    (lambda: SparsePolynomial({(1, 0, 0, 0, 0, 0): 0.0}),
+     "coefficient must be int or Fraction: 0.0"),
+    (lambda: SparsePolynomial.constant(True), "coefficient must be int or Fraction: True"),
+    (lambda: SparsePolynomial.monomial((0, 0, 0, 0, 0, 0), "1"),
+     "coefficient must be int or Fraction: '1'"),
+    (lambda: SparsePolynomial.variable(1).scaled(0.5), "coefficient must be int or Fraction: 0.5"),
+    # a repeated exponent, once summed; a zero coefficient is dropped, its exponent still read
+    (lambda: SparsePolynomial.from_records([{"exp": [1, 1, 0, 0, 0, 1], "coef": "-8"},
+                                            {"exp": [0, 0, 0, 0, 0, 0], "coef": "1"},
+                                            {"exp": [1, 1, 0, 0, 0, 1], "coef": "-8"}]),
+     "repeated exp (1, 1, 0, 0, 0, 1)"),
+    (lambda: SparsePolynomial.from_records([{"exp": [1, 0, 0, 0, 0, 0], "coef": "0"},
+                                            {"exp": [1, 0, 0, 0, 0, 0], "coef": "2"}]),
+     "repeated exp (1, 0, 0, 0, 0, 0)"),
+])
+def test_terms_from_outside_are_checked(build, fault):
+    with pytest.raises(ValueError, match=re.escape(fault)):
+        build()
+
+
+def _line(j, count):
+    """z_j^0 + z_j^1 + ... with count terms."""
+    return "(" + " + ".join(f"z{j}^{i}" for i in range(count)) + ")"
+
+
+@pytest.mark.parametrize("text, size", [
+    # TERM_LIMIT is 100 * 100
+    (f"{_line(1, 100)}*{_line(4, 101)}", "a product needs 10100 term products"),
+    (f"{_line(1, 100)}*{_line(4, 100)} + z2", "a sum needs 10001 terms"),
+    (f"z1^{TERM_LIMIT + 1}", f"a power ^{TERM_LIMIT + 1} needs {TERM_LIMIT + 1} multiplications"),
+    (f"0^{TERM_LIMIT + 1}", f"a power ^{TERM_LIMIT + 1} needs {TERM_LIMIT + 1} multiplications"),
+    # n * C(n + 1, 1) = 100 * 101: the 100 steps multiply 1, 2, ..., 100 terms by 2
+    ("(z1 + z2)^100", "a power ^100 of 2 terms needs 10100 term products"),
+    ("(z1 + z2 + z3 + z4 + z5 + z6)^10", "a power ^10 of 6 terms needs 30030 term products"),
+])
+def test_expression_work_is_bounded_before_it_is_done(text, size):
+    assert TERM_LIMIT == 10_000
+    with pytest.raises(BudgetExceededError, match=re.escape(f"{size}, over the limit of 10000")):
+        parse_polynomial(text)
+
+
+def test_expression_work_up_to_the_limit_is_done():
+    assert len(parse_polynomial(f"{_line(1, 100)}*{_line(4, 100)}").terms) == TERM_LIMIT
+    assert parse_polynomial(f"z1^{TERM_LIMIT}").terms == {(TERM_LIMIT, 0, 0, 0, 0, 0): 1}
+    assert len(parse_polynomial("(z1 + z2)^99").terms) == 100
+    # a power of zero multiplies no term: 0^0 is 1, 0^n is 0
+    one = SparsePolynomial.constant(1)
+    assert parse_polynomial("0^0") == parse_polynomial("(z1 - z1)^0") == one
+    assert parse_polynomial(f"0^{TERM_LIMIT}") == SparsePolynomial.zero()
