@@ -46,7 +46,8 @@ def character_recursion(m) -> Character:
     top_eps3 = eps3[top]
     coeffs: dict[Exponent, int] = {}
     pending: dict[int, int] = {top: 0}  # scaled contributions (x3), by id
-    heap: list[tuple[int, Exponent, int]] = [(-heights[top], m, top)]  # (-height, exponent, id)
+    # (-height, exponent, id), each exponent the index's own tuple, the top's too
+    heap: list[tuple[int, Exponent, int]] = [(-heights[top], exps[top], top)]
     while heap:
         _, e, i = heappop(heap)
         contrib = pending.pop(i)  # each id is pushed once: the operator never raises a weight
@@ -195,6 +196,9 @@ def decode_cache_entry(text: str) -> Character | None:
     An entry is {"weight", "version", "method", "exps", "coefs"}: six
     exponents per term in `exps`, one integer coefficient per term in `coefs`,
     and a `method` that names one of _METHODS.
+    Each term is keyed by the exponent index's own tuple, as the recursion
+    keys its terms, so every loaded entry shares the index's one tuple per
+    exponent; an exponent first seen here gets its id, its row stays lazy.
     Returns None for an entry of another format version.  Raises ValueError
     on anything malformed; the invariants are left to validate_character."""
     obj = json.loads(text)
@@ -217,8 +221,10 @@ def decode_cache_entry(text: str) -> Character | None:
     method = obj.get("method")
     if type(method) is not str or method not in _METHODS:
         raise ValueError(f"method {method!r} is not one of {', '.join(_METHODS)}")
+    index = hamiltonian.exponent_index()
+    shared, id_of = index.exps, index.id
     it = iter(exps)
-    terms = dict(zip(zip(it, it, it, it, it, it), coefs))
+    terms = {shared[id_of(e)]: c for e, c in zip(zip(it, it, it, it, it, it), coefs)}
     if len(terms) != len(coefs):
         raise ValueError("repeated exponent")
     return Character(tuple(weight), _wrap(terms), method)

@@ -23,7 +23,10 @@ def weight_arg(text: str) -> lattice.Vec:
     parts = text.split(",")
     if len(parts) != 6:
         raise argparse.ArgumentTypeError(f"expected six comma-separated integers, got {text!r}")
-    values = lattice.parse_labels(parts)
+    try:
+        values = lattice.parse_labels(parts)
+    except ValueError as exc:  # a label over lattice.DIGIT_LIMIT digits
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if values is None:
         raise argparse.ArgumentTypeError(
             f"labels must be non-negative integers in plain decimal digits: {text!r}")
@@ -34,8 +37,8 @@ def kappa_arg(text: str) -> Coef:
     """A rational literal as ring.coef_from_str reads it: 1, -2 or 3/2."""
     try:
         return coef_from_str(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a rational literal: {text!r}") from None
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,7 +12,7 @@ import json
 from functools import lru_cache
 from importlib import resources
 
-from .lattice import Vec, _check_dominant, conjugate, read_keyed
+from .lattice import Vec, conjugate, read_keyed
 from .ring import SparsePolynomial
 from .tensor import CGSeries
 
@@ -42,19 +42,21 @@ def series_quadratic() -> list[CGSeries]:
 
 
 @lru_cache(maxsize=None)
-def series_cubic() -> list[tuple[Vec, CGSeries]]:
-    return [(_check_dominant(rec["monomial"]), CGSeries.from_json(rec))
-            for rec in _read("series_cubic.json")]
+def series_cubic() -> dict[Vec, CGSeries]:
+    """The series of each monomial, in file order."""
+    return read_keyed(_read("series_cubic.json"), "monomial", CGSeries.from_json)
+
+
+def _dimension(rec: dict) -> int:
+    if type(rec["dim"]) is not int:
+        raise ValueError(f"dimension must be an int: {rec}")
+    return rec["dim"]
 
 
 @lru_cache(maxsize=None)
-def tensor_candidates_l3_l4() -> list[tuple[Vec, int]]:
-    out = []
-    for rec in _read("tensor_candidates_l3_l4.json"):
-        if type(rec["dim"]) is not int:
-            raise ValueError(f"dimension must be an int: {rec}")
-        out.append((_check_dominant(rec["weight"]), rec["dim"]))
-    return out
+def tensor_candidates_l3_l4() -> dict[Vec, int]:
+    """The dimension of each candidate weight, in file order."""
+    return read_keyed(_read("tensor_candidates_l3_l4.json"), "weight", _dimension)
 
 
 @lru_cache(maxsize=None)

@@ -179,7 +179,9 @@ Row = tuple[tuple[int, ...], tuple[int, ...]]  # target ids, coefficients
 class ExponentIndex:
     """Every exponent met so far, numbered 0, 1, 2, ... in order of first
     sight, with its height, 3 * eigenvalue and row under 3*Delta by id.
-    Rows keep the order in which the kernel produces their terms."""
+    Rows keep the order in which the kernel produces their terms.  `exps`
+    holds the process's one tuple per exponent: the character recursion and
+    the cache decoder key every term they keep by it."""
 
     def __init__(self) -> None:
         self.ids: dict[Exponent, int] = {}

@@ -241,12 +241,29 @@ def check_labels(v: Sequence, types: tuple[type, ...] = INTEGER) -> tuple:
     return v
 
 
+# The most decimal digits a number written as text may have.  int() has a
+# limit of its own from Python 3.11 (4300 digits, refused with advice to call
+# sys.set_int_max_str_digits()); this one is checked first, so text over it is
+# refused in the same words on every Python version.
+DIGIT_LIMIT = 1000
+
+
+def read_digits(digits: str) -> int:
+    """int(digits) for ASCII decimal digits after an optional minus sign;
+    ValueError, before int() runs, on more than DIGIT_LIMIT digits."""
+    n = len(digits) - digits.startswith("-")
+    if n > DIGIT_LIMIT:
+        raise ValueError(f"a number of {n} digits, over the limit of {DIGIT_LIMIT}")
+    return int(digits)
+
+
 def parse_labels(parts: Sequence[str]) -> Vec | None:
     """Six labels, each written in plain ASCII decimal digits, as ints; None
     for anything else, such as a sign, a space, an underscore or the digits
-    of another script, which int() would accept."""
+    of another script, which int() would accept.  ValueError on a label of
+    more than DIGIT_LIMIT digits (read_digits)."""
     if len(parts) == 6 and all(p.isascii() and p.isdecimal() for p in parts):
-        return tuple(map(int, parts))
+        return tuple(map(read_digits, parts))
     return None
 
 

@@ -13,7 +13,8 @@ from math import comb
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import BudgetExceededError
-from .lattice import RATIONAL, _check_dominant, conjugate, fundamental_weight, read_keyed
+from .lattice import (RATIONAL, _check_dominant, conjugate, fundamental_weight, read_digits,
+                      read_keyed)
 
 Exponent = tuple[int, int, int, int, int, int]
 Coef = Union[int, Fraction]
@@ -46,14 +47,16 @@ _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 def coef_from_str(s: str) -> Coef:
     """The rational written as s in the form coef_to_str writes: an optional
     minus sign and ASCII decimal digits, then optionally a slash and ASCII
-    decimal digits.  Raises ValueError on any other text, on a zero
-    denominator and on anything that is not a str."""
+    decimal digits.  Raises ValueError on any other text, on a number of
+    more than DIGIT_LIMIT digits, on a zero denominator and on anything that
+    is not a str."""
     if type(s) is not str or not _RATIONAL.fullmatch(s):
         raise ValueError(f"not a rational literal: {s!r}")
     num, _, den = s.partition("/")
-    if den and not int(den):
+    p, q = read_digits(num), read_digits(den or "1")
+    if not q:
         raise ValueError(f"zero denominator in {s!r}")
-    return _norm(Fraction(int(num), int(den or 1)))
+    return _norm(Fraction(p, q))
 
 
 def grlex_key(e: Exponent) -> tuple:
@@ -228,7 +231,7 @@ class PolynomialSyntaxError(ValueError):
 
 def _literal(tok: str) -> Coef:
     """tok as coef_from_str reads it; its failure, a zero denominator or more
-    digits than int() reads, is a syntax error."""
+    than DIGIT_LIMIT digits, is a syntax error."""
     try:
         return coef_from_str(tok)
     except ValueError as exc:

@@ -123,7 +123,7 @@ def suite_appendix_a() -> list[Check]:
 
 def suite_appendix_b() -> list[Check]:
     checks = []
-    for exp, series in golden.series_cubic():
+    for exp, series in golden.series_cubic().items():
         got = tensor.monomial_decompose(exp)
         checks.append(_check(f"monomial series z^({_label(exp)}) [{len(series.terms)} terms]",
                              got.terms == series.terms,
@@ -136,7 +136,7 @@ def suite_dims() -> list[Check]:
     dims = tuple(lattice.weyl_dimension(lattice.fundamental_weight(k)) for k in range(1, 7))
     checks.append(_check("fundamental dimensions", dims == lattice.FUNDAMENTAL_DIMENSIONS,
                          lattice.FUNDAMENTAL_DIMENSIONS, dims))
-    for w, d in golden.tensor_candidates_l3_l4():
+    for w, d in golden.tensor_candidates_l3_l4().items():
         got = lattice.weyl_dimension(w)
         checks.append(_check(f"dim({_label(w)})", got == d, d, got))
     # read as a lookup reads it: the four invariants include the dimension

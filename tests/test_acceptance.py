@@ -54,6 +54,12 @@ def planted_reference(monkeypatch):
     ("series_quadratic.json", [{"factors": [], "terms": [{"weight": [0] * 6, "mult": 1},
                                                          {"weight": [0] * 6, "mult": 1}]}],
      "repeated weight (0, 0, 0, 0, 0, 0)"),
+    ("series_cubic.json", [{"monomial": [0, 0, 0, 2, 0, 0], "factors": [], "terms": []},
+                           {"monomial": [0, 0, 0, 2, 0, 0], "factors": [], "terms": []}],
+     "repeated monomial (0, 0, 0, 2, 0, 0)"),
+    ("tensor_candidates_l3_l4.json", [{"weight": [0, 0, 0, 1, 0, 0], "dim": 2925},
+                                      {"weight": [0, 0, 0, 1, 0, 0], "dim": 2925}],
+     "repeated weight (0, 0, 0, 1, 0, 0)"),
     # int() would round this to 2925
     ("tensor_candidates_l3_l4.json", [{"weight": [0, 0, 0, 1, 0, 0], "dim": 2925.9}],
      "dimension must be an int"),

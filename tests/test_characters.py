@@ -148,6 +148,31 @@ def test_cache_format_round_trip_is_bit_exact(isolated_cache):
         assert all(type(c) is int for c in again.poly.terms.values())
 
 
+def test_a_reloaded_entry_is_stored_again_byte_for_byte(isolated_cache):
+    # a load keys its terms by the exponent index's tuples, in the file's order
+    weights = [(0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 1), (0, 0, 0, 3, 0, 0), (1, 1, 0, 0, 1, 0)]
+    for w in weights:
+        character(w)
+    stored = {w: characters.cache_path(w).read_bytes() for w in weights}
+    characters.clear_memory_cache()
+    for w in weights:
+        characters._store(character(w))
+    assert {w: characters.cache_path(w).read_bytes() for w in weights} == stored
+
+
+def test_the_memory_tier_holds_one_tuple_per_exponent(isolated_cache, fresh_index):
+    # computed on an empty cache, then loaded from it: either way every term of
+    # every character is keyed by the exponent index's own tuple, never a copy
+    with fresh_index() as index:
+        for _ in range(2):
+            characters.clear_memory_cache()
+            tensor_decompose((1, 1, 1, 1, 1, 1), (0, 0, 0, 1, 0, 0))
+            keys = [e for ch in characters._MEMORY.values() for e in ch.poly.terms]
+            assert len(characters._MEMORY) == 343 and len(keys) == 69_860
+            assert len({id(e) for e in keys}) == len(index.exps) == 578
+            assert all(e is index.exps[index.ids[e]] for e in keys)
+
+
 def _shorten_exps(payload, at):
     payload["exps"].pop()
 

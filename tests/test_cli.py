@@ -152,7 +152,7 @@ def test_usage_errors_exit_2(capsys):
                  ("delta", "z1 + 2/0"),
                  ("delta", "\u0663*z1"),
                  ("delta", "(" * 3000 + "z1" + ")" * 3000),
-                 ("delta", "z1^" + "9" * 5000),  # past the digit limit of int()
+                 ("delta", "z1^" + "9" * 5000),  # past lattice.DIGIT_LIMIT
                  ("bogus",)]:
         with pytest.raises(SystemExit) as err:
             main(list(argv))
@@ -162,6 +162,24 @@ def test_usage_errors_exit_2(capsys):
         lines = captured.err.splitlines()  # the usage, then one error line
         assert lines[0].startswith("usage: e6cs") and lines[-1].startswith("e6cs")
         assert [": error: " in line for line in lines].count(True) == 1
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("delta", "1" + "9" * 5000), "e6cs: error: a number of 5001 digits, over the limit of 1000"),
+    (("delta", "z1^" + "9" * 5000),
+     "e6cs: error: a number of 5000 digits, over the limit of 1000"),
+    (("dim", "9" * 5000 + ",0,0,0,0,0"),
+     "e6cs dim: error: argument weight: a number of 5000 digits, over the limit of 1000"),
+    (("eig", "1,0,0,0,0,0", "--kappa=" + "9" * 5000),
+     "e6cs eig: error: argument --kappa: a number of 5000 digits, over the limit of 1000"),
+])
+def test_numbers_over_the_digit_limit_are_refused_in_one_message(capsys, argv, error):
+    # lattice.DIGIT_LIMIT is checked before int(), whose own limit (Python 3.11+)
+    # would advise a call to sys.set_int_max_str_digits()
+    with pytest.raises(SystemExit) as err:
+        main(list(argv))
+    assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == error
 
 
 def test_delta_over_its_budget_exits_1(capsys):

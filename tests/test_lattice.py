@@ -224,3 +224,10 @@ def test_eps3_spot_values_and_conjugation_invariance():
 ])
 def test_parse_labels_takes_plain_ascii_decimal_only(parts, expect):
     assert lattice.parse_labels(parts) == expect
+
+
+def test_parse_labels_bounds_the_digits_of_a_label():
+    labels = ["9" * lattice.DIGIT_LIMIT] + ["0"] * 5
+    assert lattice.parse_labels(labels)[0] == 10 ** lattice.DIGIT_LIMIT - 1
+    with pytest.raises(ValueError, match="^a number of 1001 digits, over the limit of 1000$"):
+        lattice.parse_labels(["1" + labels[0]] + labels[1:])
