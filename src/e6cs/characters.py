@@ -172,11 +172,24 @@ def cache_key(path: Path) -> lattice.Vec:
                             "with each label in plain decimal")
 
 
+def _listed(directory: Path, prefix: str, suffix: str) -> list[Path]:
+    """The files of directory named prefix*suffix, sorted; none when there is
+    no directory, as before the first store.  CacheDirectoryError when the
+    path cannot be listed, such as a regular file or a path below one."""
+    try:
+        names = os.listdir(directory)
+    except FileNotFoundError:
+        return []
+    except OSError as exc:
+        raise _unusable(directory, exc) from exc
+    return sorted(directory / name for name in names
+                  if name.startswith(prefix) and name.endswith(suffix))
+
+
 def cache_entries() -> list[Path]:
-    """The files of the cache directory named like entries, sorted; none when
-    there is no directory.  cache_key tells an entry from a stray file."""
-    directory = cache_dir()
-    return sorted(directory.glob("chi_*.json")) if directory.is_dir() else []
+    """The files of the cache directory named like entries (_listed).
+    cache_key tells an entry from a stray file."""
+    return _listed(cache_dir(), "chi_", ".json")
 
 
 def character_to_json(ch: Character) -> dict:
@@ -230,9 +243,9 @@ def decode_cache_entry(text: str) -> Character | None:
     return Character(tuple(weight), _wrap(terms), method)
 
 
-def _unusable(path: Path, exc: OSError) -> CacheDirectoryError:
-    """Blame the directory of the entry at path, not the entry."""
-    return CacheDirectoryError(f"unusable cache directory {path.parent}: {exc.strerror or exc}")
+def _unusable(directory: Path, exc: OSError) -> CacheDirectoryError:
+    """Blame the cache directory, not an entry in it."""
+    return CacheDirectoryError(f"unusable cache directory {directory}: {exc.strerror or exc}")
 
 
 def _store(ch: Character) -> None:
@@ -244,7 +257,7 @@ def _store(ch: Character) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=_TMP_SUFFIX)
     except OSError as exc:
-        raise _unusable(path, exc) from exc
+        raise _unusable(path.parent, exc) from exc
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(json.dumps(entry, separators=(",", ":")))
@@ -272,7 +285,7 @@ def _load(m) -> Character | None:
         return None
     except (OSError, ValueError) as exc:
         if isinstance(exc, OSError) and not path.parent.is_dir():  # not the entry's fault
-            raise _unusable(path, exc) from exc
+            raise _unusable(path.parent, exc) from exc
         raise CacheCorruptError(f"unreadable cache entry {path}: {exc}") from exc
     if ch is None:
         return None
@@ -296,8 +309,7 @@ def clear_memory_cache() -> None:
 def clear_cache() -> tuple[int, int]:
     """Remove every entry, and every temporary file that a store killed before
     its rename left behind, then empty the memory tier; return both counts."""
-    directory, entries = cache_dir(), cache_entries()
-    leftovers = sorted(directory.glob("*" + _TMP_SUFFIX)) if directory.is_dir() else []
+    entries, leftovers = cache_entries(), _listed(cache_dir(), "", _TMP_SUFFIX)
     for path in entries + leftovers:
         path.unlink()
     clear_memory_cache()

@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dim", help="dimension of an irreducible representation")
     p.add_argument("weight", type=weight_arg)
-    p.set_defaults(run=lambda args: print(lattice.weyl_dimension(args.weight)))
+    p.set_defaults(run=lambda args: print(coef_to_str(lattice.weyl_dimension(args.weight))))
 
     p = sub.add_parser("eig", help="operator eigenvalue of a weight")
     p.add_argument("weight", type=weight_arg)
@@ -100,7 +100,7 @@ def _print_series(series: tensor.CGSeries, as_json: bool) -> None:
         print(json.dumps(series.to_json()))
         return
     for w, mult in series.sorted_terms():
-        print(f"({','.join(str(x) for x in w)}) x {mult}")
+        print(f"({','.join(str(x) for x in w)}) x {coef_to_str(mult)}")
 
 
 def _cmd_char(args) -> None:
@@ -125,8 +125,9 @@ def _cmd_verify(args) -> int:
 def _cmd_cache(args) -> None:
     directory = cache_dir()
     if args.action == "info":
+        entries = cache_entries()
         print(f"cache directory: {directory}")
-        print(f"entries: {len(cache_entries())}")
+        print(f"entries: {len(entries)}")
     elif args.action == "clear":
         entries, leftovers = clear_cache()
         print(f"removed {entries} entries from {directory}")

@@ -8,13 +8,14 @@ as immutable once constructed; every operation returns a fresh polynomial.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import BudgetExceededError
-from .lattice import (RATIONAL, _check_dominant, conjugate, fundamental_weight, read_digits,
-                      read_keyed)
+from .lattice import (DIGIT_LIMIT, RATIONAL, _check_dominant, conjugate, fundamental_weight,
+                      read_digits, read_keyed)
 
 Exponent = tuple[int, int, int, int, int, int]
 Coef = Union[int, Fraction]
@@ -36,9 +37,27 @@ def _check_coef(c: Coef) -> Coef:
     return _norm(c)
 
 
+def _decimal(n: int) -> str:
+    """str(n) for an int of any size.  Past the interpreter's own limit on
+    int-to-str conversion (Python 3.11+), which guards reading, the limit is
+    lifted for this one conversion only."""
+    try:
+        return str(n)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(n)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
 def coef_to_str(c: Coef) -> str:
+    """The exact decimal of a rational, p or p/q: the one writer of every
+    number the engine prints, of any size on every Python version."""
     c = Fraction(c)
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    num = _decimal(c.numerator)
+    return num if c.denominator == 1 else f"{num}/{_decimal(c.denominator)}"
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
@@ -238,16 +257,40 @@ def _literal(tok: str) -> Coef:
         raise PolynomialSyntaxError(str(exc)) from None
 
 
+def _digits(n: int) -> int:
+    return len(coef_to_str(abs(n)))
+
+
 def _check_budget(what: str, bound: int, unit: str) -> None:
+    """BudgetExceededError when bound is over TERM_LIMIT.  The bound is named
+    in full up to TERM_LIMIT ** 2, the most a product of two sums within the
+    limit can need, and past it by its digit count, so the message stays one
+    short line."""
     if bound > TERM_LIMIT:
-        raise BudgetExceededError(f"{what} needs {bound} {unit}, over the limit of {TERM_LIMIT}")
+        count = bound if bound <= TERM_LIMIT ** 2 else f"a {_digits(bound)}-digit number of"
+        raise BudgetExceededError(f"{what} needs {count} {unit}, over the limit of {TERM_LIMIT}")
+
+
+def _check_size(what: str, p: SparsePolynomial, bound: int) -> SparsePolynomial:
+    """p, unless a numerator or a denominator of its coefficients has reached
+    bound, 10 ** DIGIT_LIMIT: then BudgetExceededError naming its digit count."""
+    for c in p.terms.values():
+        for n in (c.numerator, c.denominator):
+            if abs(n) >= bound:
+                raise BudgetExceededError(f"{what} builds a number of {_digits(n)} digits, "
+                                          f"over the limit of {DIGIT_LIMIT}")
+    return p
 
 
 def parse_polynomial(text: str) -> SparsePolynomial:
     """Parse a polynomial expression such as 'z1^2 - 2*z3 + 1/3'.
 
     PolynomialSyntaxError on malformed text; BudgetExceededError, before any
-    work, on a sum, product or power over TERM_LIMIT."""
+    work, on a sum, product or power over TERM_LIMIT, and, after a sum, a
+    product or a step of a power, on a number built of more than DIGIT_LIMIT
+    digits, so that no step multiplies numbers over the limit read by
+    _literal."""
+    bound = 10 ** DIGIT_LIMIT
     tokens: list[str] = []
     pos = 0
     while pos < len(text):
@@ -272,7 +315,7 @@ def parse_polynomial(text: str) -> SparsePolynomial:
             _check_budget("a sum", len(acc.terms) + len(term.terms), "terms")
             acc = acc + term
             if tokens[-1] not in ("+", "-"):
-                return acc
+                return _check_size("a sum", acc, bound)
 
     def parse_product() -> SparsePolynomial:
         acc = parse_power()
@@ -280,7 +323,7 @@ def parse_polynomial(text: str) -> SparsePolynomial:
             tokens.pop()
             factor = parse_power()
             _check_budget("a product", len(acc.terms) * len(factor.terms), "term products")
-            acc = acc * factor
+            acc = _check_size("a product", acc * factor, bound)
         return acc
 
     def parse_power() -> SparsePolynomial:
@@ -292,14 +335,14 @@ def parse_polynomial(text: str) -> SparsePolynomial:
         if not n.isdigit():
             raise PolynomialSyntaxError("exponent must be a non-negative integer")
         n, t = _literal(n), len(base.terms)
-        _check_budget(f"a power ^{n}", n, "multiplications")  # first, so comb() stays small
+        _check_budget("a power", n, "multiplications")  # first, so comb() stays small
         # step i multiplies at most C(i + t - 1, t - 1) terms by t: n * C(n + t - 1, t - 1) in all
         if t:
             _check_budget(f"a power ^{n} of {t} terms", n * comb(n + t - 1, t - 1),
                           "term products")
-        out = SparsePolynomial.constant(1)
+        out, what = SparsePolynomial.constant(1), f"a power ^{n}"
         for _ in range(n):
-            out = out * base
+            out = _check_size(what, out * base, bound)
         return out
 
     def parse_atom() -> SparsePolynomial:

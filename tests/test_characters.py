@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from fractions import Fraction
@@ -160,17 +161,47 @@ def test_a_reloaded_entry_is_stored_again_byte_for_byte(isolated_cache):
     assert {w: characters.cache_path(w).read_bytes() for w in weights} == stored
 
 
-def test_the_memory_tier_holds_one_tuple_per_exponent(isolated_cache, fresh_index):
-    # computed on an empty cache, then loaded from it: either way every term of
-    # every character is keyed by the exponent index's own tuple, never a copy
+def test_the_scaleup_product_is_pinned_cold_and_warm(isolated_cache, fresh_index, monkeypatch):
+    # the benchmark's query, computed on an empty cache, then loaded from it with
+    # the memory tier emptied as in a new process.  Both factors are
+    # self-conjugate, so the set of characters it needs is closed under the
+    # diagram symmetry and each conjugate pair gets one residual pass; every
+    # term of every character is keyed by the exponent index's own tuple,
+    # never a copy; and the CLI's --json stdout is the same byte for byte
+    validated, passes = [], []
+    validate, image = characters.validate_character, hamiltonian.shifted_image_x3
+
+    def counted_validate(ch):
+        validated.append(ch.weight)
+        return validate(ch)
+
+    def counted_image(terms, eps3):
+        passes.append(eps3)
+        return image(terms, eps3)
+
+    monkeypatch.setattr(characters, "validate_character", counted_validate)
+    monkeypatch.setattr(hamiltonian, "shifted_image_x3", counted_image)
+    runs = []
     with fresh_index() as index:
         for _ in range(2):
             characters.clear_memory_cache()
-            tensor_decompose((1, 1, 1, 1, 1, 1), (0, 0, 0, 1, 0, 0))
+            validated.clear()
+            passes.clear()
+            runs.append(tensor_decompose((1, 1, 1, 1, 1, 1), (0, 0, 0, 1, 0, 0)))
+            weights = set(validated)
+            assert len(validated) == len(weights) == 343
+            assert {lattice.conjugate(w) for w in weights} == weights
+            self_conjugate = sum(lattice.conjugate(w) == w for w in weights)
+            pairs = (len(weights) - self_conjugate) // 2
+            assert len(passes) == self_conjugate + pairs == 206
             keys = [e for ch in characters._MEMORY.values() for e in ch.poly.terms]
             assert len(characters._MEMORY) == 343 and len(keys) == 69_860
             assert len({id(e) for e in keys}) == len(index.exps) == 578
             assert all(e is index.exps[index.ids[e]] for e in keys)
+            stdout = json.dumps(runs[-1].to_json()) + "\n"
+            assert hashlib.sha256(stdout.encode()).hexdigest() == \
+                "856023939f18d50e71d0c8cf76972176fbd034291c7a4ca2828ccb224536ba72"
+    assert runs[0] == runs[1] and len(runs[0].terms) == 342
 
 
 def _shorten_exps(payload, at):
@@ -375,37 +406,6 @@ def test_a_mate_that_differs_from_sigma_of_its_proven_partner_gets_the_residual_
     with pytest.raises(CacheCorruptError,
                        match=rf"not an eigenfunction: .* at exponent {re.escape(str(e))}$"):
         character(mate)
-
-
-def test_each_conjugate_pair_gets_one_residual_pass(isolated_cache, monkeypatch):
-    # the benchmark's query: both factors are self-conjugate, so the set of
-    # characters it needs is closed under the diagram symmetry
-    validated, passes = [], []
-    validate, image = characters.validate_character, hamiltonian.shifted_image_x3
-
-    def counted_validate(ch):
-        validated.append(ch.weight)
-        return validate(ch)
-
-    def counted_image(terms, eps3):
-        passes.append(eps3)
-        return image(terms, eps3)
-
-    monkeypatch.setattr(characters, "validate_character", counted_validate)
-    monkeypatch.setattr(hamiltonian, "shifted_image_x3", counted_image)
-    runs = []
-    for _ in range(2):  # computed on an empty cache, then loaded from it
-        characters.clear_memory_cache()
-        validated.clear()
-        passes.clear()
-        runs.append(tensor_decompose((1, 1, 1, 1, 1, 1), (0, 0, 0, 1, 0, 0)))
-        weights = set(validated)
-        assert len(validated) == len(weights) == 343
-        assert {lattice.conjugate(w) for w in weights} == weights
-        self_conjugate = sum(lattice.conjugate(w) == w for w in weights)
-        pairs = (len(weights) - self_conjugate) // 2
-        assert len(passes) == self_conjugate + pairs == 206
-    assert runs[0] == runs[1] and len(runs[0].terms) == 342
 
 
 def test_cache_unparseable_file(isolated_cache):

@@ -1,9 +1,10 @@
 import hashlib
 import json
+import time
 
 import pytest
 
-from e6cs import characters
+from e6cs import characters, lattice
 from e6cs.cli import main
 from e6cs.ring import SparsePolynomial, parse_polynomial
 from e6cs.tensor import CGSeries, tensor_decompose
@@ -64,6 +65,18 @@ def test_dim(capsys):
     code, out, _ = run(capsys, "dim", "0,0,0,1,0,0")
     assert code == 0
     assert out.strip() == "2925"
+
+
+def test_dim_prints_an_integer_of_any_size(capsys):
+    # 4,789 digits, past the limit of int-to-str conversion on Python 3.11+;
+    # read back in pieces within that limit
+    label = 10 ** 300 - 1
+    code, out, err = run(capsys, "dim", f"{label},0,0,0,0,0")
+    assert (code, err) == (0, "") and out.endswith("\n")
+    digits, value = out[:-1], 0
+    for i in range(0, len(digits), 1000):
+        value = value * 10 ** len(digits[i:i + 1000]) + int(digits[i:i + 1000])
+    assert len(digits) == 4789 and value == lattice.weyl_dimension((label, 0, 0, 0, 0, 0))
 
 
 def test_eig(capsys):
@@ -189,6 +202,39 @@ def test_delta_over_its_budget_exits_1(capsys):
                    "over the limit of 10000\n")
 
 
+@pytest.mark.parametrize("expression, error", [
+    ("z1*" + "9" * 1000 + "^2000",
+     "error: a power ^2000 builds a number of 2000 digits, over the limit of 1000\n"),
+    ("z1*999^2000", "error: a power ^2000 builds a number of 1002 digits, over the limit of 1000\n"),
+    ("9" * 600 + "*" + "9" * 600 + "*z1",
+     "error: a product builds a number of 1200 digits, over the limit of 1000\n"),
+    ("1/" + "9" * 600 + "*1/" + "9" * 600,
+     "error: a product builds a number of 1200 digits, over the limit of 1000\n"),
+    ("9" * 1000 + " + " + "9" * 1000 + " + z1",
+     "error: a sum builds a number of 1001 digits, over the limit of 1000\n"),
+], ids=["power-of-1000-digits", "power-of-3-digits", "product", "product-of-fractions", "sum"])
+def test_delta_refuses_to_build_a_number_over_the_digit_limit(capsys, expression, error):
+    # each step's inputs are within the limit, so each refusal comes at once
+    start = time.perf_counter()
+    assert run(capsys, "delta", expression) == (1, "", error)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("expression", [
+    "z1^10001", "z1^99999", "z1^" + "9" * 100, "z1^" + "9" * 1000, "z1^1" + "0" * 999,
+    "(z1 + z2 + z3 + z4 + z5 + z6)^10000",
+    "(" + " + ".join(f"z1^{i}" for i in range(100)) + ")^10000",
+], ids=["10001", "99999", "9-of-100-digits", "9-of-1000-digits", "1-of-1000-digits",
+        "6-terms", "100-terms"])
+def test_a_power_budget_error_is_one_short_line(capsys, expression):
+    # the count of multiplications or term products a power needs is named in
+    # full up to TERM_LIMIT ** 2 and by its digit count past it
+    code, out, err = run(capsys, "delta", expression)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: a power ") and err.count("\n") == 1
+    assert len(err.encode()) <= 120 and "9" * 10 not in err and "0" * 10 not in err
+
+
 def test_computation_error_exits_1(capsys, isolated_cache, term_index):
     assert main(["char", "2,0,0,0,0,0"]) == 0
     capsys.readouterr()
@@ -234,6 +280,27 @@ def test_cache_entries_written_by_a_cold_job_are_pinned(capsys, isolated_cache):
     assert len(entries) == 14
     assert digest.hexdigest() == \
         "ebc86e4a5611ec4acc06b2846666b3ffb19d64b389bdb5b7063ada70e4b2696b"
+
+
+def test_the_cold_monomial_job_is_pinned(capsys, isolated_cache):
+    # cold: the recursion builds and stores 633 characters, pinned byte for
+    # byte; warm, with the memory tier emptied as in a new process: each is
+    # loaded and validated; then the third reader, `cache validate`, agrees
+    expect = "2aa027ba6569838dfb77e44e09f741711e26ffceb9ef9baa95c4afc9f00ba65e"
+    code, out, _ = run(capsys, "monomial", "0,0,0,5,0,0", "--json")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == expect
+    digest = hashlib.sha256()
+    entries = sorted(isolated_cache.glob("chi_*.json"))
+    for path in entries:
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    assert len(entries) == 633
+    assert digest.hexdigest() == \
+        "da7c8f1e4990bbf6d3f7e1e36680ad216530b3c46dc21fc3c0601dc52be89b5b"
+    characters.clear_memory_cache()
+    code, out, _ = run(capsys, "monomial", "0,0,0,5,0,0", "--json")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == expect
+    assert run(capsys, "cache", "validate") == \
+        (0, f"validated 633 entries in {isolated_cache}\n", "")
 
 
 def test_verify_dims_suite_vacuous_on_empty_cache(capsys, isolated_cache):
@@ -282,14 +349,24 @@ def test_cache_validate_rejects_stray_file(capsys, isolated_cache):
         stray.unlink()
 
 
-@pytest.mark.parametrize("argv", [["char", "1,0,0,0,0,0"],
-                                  ["tensor", "1,0,0,0,0,0", "0,0,0,0,0,1"]])
-@pytest.mark.parametrize("side", ["read", "write"])
+_LOOKUPS = [["char", "1,0,0,0,0,0"], ["tensor", "1,0,0,0,0,0", "0,0,0,0,0,1"]]
+_LISTINGS = [["cache", "info"], ["cache", "clear"], ["cache", "validate"],
+             ["verify", "--suite=dims"]]
+
+
+@pytest.mark.parametrize("argv, side", [
+    pytest.param(argv, side, id=f"{side}-{' '.join(argv)}")
+    for argv in _LOOKUPS + _LISTINGS for side in ("read", "file", "write")
+    if side != "write" or argv in _LOOKUPS])
 def test_unusable_cache_directory_is_named(capsys, tmp_path, monkeypatch, argv, side):
-    # read: a lookup below a regular file; write: a miss whose store cannot mkdir
+    # read: a path below a regular file; file: the regular file itself; both
+    # fail a lookup and a listing of the entries alike.  write: a miss whose
+    # store cannot mkdir (a listing of a missing directory is an empty cache)
     (tmp_path / "file").write_text("")
     if side == "read":
         directory = tmp_path / "file" / "sub"
+    elif side == "file":
+        directory = tmp_path / "file"
     else:
         directory = tmp_path / "dangling"
         directory.symlink_to(tmp_path / "nowhere")

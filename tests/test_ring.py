@@ -1,4 +1,5 @@
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -164,6 +165,16 @@ def test_coef_from_str_bounds_the_digits_it_reads():
         coef_from_str("-" + "9" * 1001)
 
 
+def test_coef_to_str_writes_a_number_of_any_size():
+    # past the int-to-str limit of Python 3.11+, which stays in force for reading
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    n = 10 ** 5000 + 1
+    assert coef_to_str(Fraction(-n, 7)) == "-1" + "0" * 4999 + "1/7"
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    with pytest.raises(ValueError, match="^a number of 5001 digits, over the limit of 1000$"):
+        coef_from_str(coef_to_str(n))
+
+
 def test_parser_rejects_bad_input():
     for bad in ["z7", "z1 +", "2 z1", "z1^", "(z1", "z1^-2", "q", "\u0663*z1", "z1^\u0662",
                 "(" * 3000 + "z1" + ")" * 3000]:
@@ -237,16 +248,28 @@ def _line(j, count):
     # TERM_LIMIT is 100 * 100
     (f"{_line(1, 100)}*{_line(4, 101)}", "a product needs 10100 term products"),
     (f"{_line(1, 100)}*{_line(4, 100)} + z2", "a sum needs 10001 terms"),
-    (f"z1^{TERM_LIMIT + 1}", f"a power ^{TERM_LIMIT + 1} needs {TERM_LIMIT + 1} multiplications"),
-    (f"0^{TERM_LIMIT + 1}", f"a power ^{TERM_LIMIT + 1} needs {TERM_LIMIT + 1} multiplications"),
+    (f"z1^{TERM_LIMIT + 1}", f"a power needs {TERM_LIMIT + 1} multiplications"),
+    (f"0^{TERM_LIMIT + 1}", f"a power needs {TERM_LIMIT + 1} multiplications"),
+    # an exponent the reader accepts, named by its digit count
+    pytest.param("z1^" + "9" * 1000, "a power needs a 1000-digit number of multiplications",
+                 id="z1^<1000 digits>"),
     # n * C(n + 1, 1) = 100 * 101: the 100 steps multiply 1, 2, ..., 100 terms by 2
     ("(z1 + z2)^100", "a power ^100 of 2 terms needs 10100 term products"),
+    ("(z1 + z2 + z3 + z4 + z5 + z6)^8", "a power ^8 of 6 terms needs 10296 term products"),
     ("(z1 + z2 + z3 + z4 + z5 + z6)^10", "a power ^10 of 6 terms needs 30030 term products"),
 ])
 def test_expression_work_is_bounded_before_it_is_done(text, size):
     assert TERM_LIMIT == 10_000
     with pytest.raises(BudgetExceededError, match=re.escape(f"{size}, over the limit of 10000")):
         parse_polynomial(text)
+
+
+def test_numbers_up_to_the_digit_limit_are_built():
+    assert parse_polynomial("9^1000") == SparsePolynomial.constant(9 ** 1000)
+    assert len(str(9 ** 1000)) == 955
+    assert len(parse_polynomial("(z1 + z2 + z3 + z4 + z5 + z6)^7").terms) == 792
+    assert parse_polynomial("1/" + "9" * 500 + "*1/" + "9" * 500).terms == \
+        {(0,) * 6: Fraction(1, (10 ** 500 - 1) ** 2)}
 
 
 def test_expression_work_up_to_the_limit_is_done():
