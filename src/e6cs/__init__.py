@@ -7,8 +7,7 @@ from .lattice import (conjugate, dominant_weights_below, inner_product,
                       positive_roots, to_root_basis, weyl_dimension,
                       weyl_vector_in_root_basis)
 from .ring import SparsePolynomial, parse_polynomial
-from .tensor import (CGSeries, monomial_decompose, series_z1_times_power,
-                     tensor_decompose, verify_orthogonality)
+from .tensor import CGSeries, monomial_decompose, tensor_decompose
 
 __all__ = [
     "CGSeries",
@@ -27,10 +26,8 @@ __all__ = [
     "monomial_expansion",
     "parse_polynomial",
     "positive_roots",
-    "series_z1_times_power",
     "tensor_decompose",
     "to_root_basis",
-    "verify_orthogonality",
     "weyl_dimension",
     "weyl_vector_in_root_basis",
 ]

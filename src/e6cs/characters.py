@@ -214,7 +214,10 @@ def decode_cache_entry(text: str) -> Character | None:
     exponent; an exponent first seen here gets its id, its row stays lazy.
     Returns None for an entry of another format version.  Raises ValueError
     on anything malformed; the invariants are left to validate_character."""
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("entry nests too deeply") from None
     if type(obj) is not dict:
         raise ValueError("entry is not a JSON object")
     if obj.get("version") != CACHE_VERSION:
@@ -308,12 +311,23 @@ def clear_memory_cache() -> None:
 
 def clear_cache() -> tuple[int, int]:
     """Remove every entry, and every temporary file that a store killed before
-    its rename left behind, then empty the memory tier; return both counts."""
+    its rename left behind, then empty the memory tier; return both counts.
+    A file that is already gone, as after a concurrent clear, is not counted."""
     entries, leftovers = cache_entries(), _listed(cache_dir(), "", _TMP_SUFFIX)
-    for path in entries + leftovers:
-        path.unlink()
+    counts = sum(map(_remove, entries)), sum(map(_remove, leftovers))
     clear_memory_cache()
-    return len(entries), len(leftovers)
+    return counts
+
+
+def _remove(path: Path) -> bool:
+    """Unlink one file of the cache; False when it is already gone."""
+    try:
+        path.unlink()
+    except FileNotFoundError:
+        return False
+    except OSError as exc:
+        raise CacheCorruptError(f"cannot remove cache entry {path}: {exc.strerror or exc}") from exc
+    return True
 
 
 def character(m, method: str = "recursion") -> Character:

@@ -128,19 +128,3 @@ def monomial_decompose(exp: Sequence[int]) -> CGSeries:
         factors = [(0, 0, 0, 0, 0, 0)]
     return _peel(SparsePolynomial.monomial(exp), tuple(factors))
 
-
-def series_z1_times_power(k: int, n: int) -> CGSeries:
-    """Decompose z1 * chi(n * l_k), which is the product l1 x n*l_k: z1 is chi(l1)."""
-    l1, lk = lattice.fundamental_weight(1), lattice.fundamental_weight(k)
-    if type(n) is not int or n < 1:
-        raise ValueError(f"power must be an int of at least 1: {n!r}")
-    return tensor_decompose(l1, tuple(n * x for x in lk))
-
-
-def verify_orthogonality(i: int, j: int, k: int) -> bool:
-    """Character inner-product identity: the multiplicity of l_k in l_i x l_j
-    must equal the multiplicity of l_j in l_k x conj(l_i)."""
-    li, lj, lk = (lattice.fundamental_weight(x) for x in (i, j, k))
-    lhs = tensor_decompose(li, lj).multiplicity(lk)
-    rhs = tensor_decompose(lk, lattice.conjugate(li)).multiplicity(lj)
-    return lhs == rhs

@@ -168,8 +168,8 @@ def suite_duality() -> list[Check]:
             bad.append(w)
     checks.append(_check(f"conjugation equivariance on {len(weights)} characters",
                          not bad, "no mismatches", bad[:3]))
-    # the identity of tensor.verify_orthogonality, read from the 36 products
-    # l_a x l_b decomposed once each (conj(l_i) is itself a fundamental)
+    # mult(l_k in l_i x l_j) = mult(l_j in l_k x conj(l_i)), read from the 36
+    # products l_a x l_b decomposed once each (conj(l_i) is itself a fundamental)
     funds = [lattice.fundamental_weight(k) for k in range(1, 7)]
     series = {(a, b): tensor.tensor_decompose(a, b) for a in funds for b in funds}
     failures = [(i, j, k) for (i, li), (j, lj), (k, lk) in iproduct(enumerate(funds, 1), repeat=3)

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from e6cs import golden, tensor, verify
+from e6cs import golden, lattice, tensor, verify
 
 REFERENCE_SIZES = {
     golden.characters_degree2: 28,
@@ -144,9 +144,10 @@ CLOSED_FORMS = {
 
 def test_criterion_7_closed_form_families():
     t0 = time.monotonic()
+    l1 = lattice.fundamental_weight(1)
     for k in range(1, 7):
         for n in (2, 3, 4):
-            series = tensor.series_z1_times_power(k, n)
+            series = tensor.tensor_decompose(l1, tuple(n * x for x in lattice.fundamental_weight(k)))
             expected = {w: 1 for w in CLOSED_FORMS[k](n)}
             assert series.terms == expected, (k, n)
     _report(7, "closed-form product families", t0, budget=300.0)

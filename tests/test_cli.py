@@ -334,6 +334,42 @@ def test_cache_clear_removes_interrupted_store_temporaries(capsys, isolated_cach
     assert list(isolated_cache.iterdir()) == []
 
 
+@pytest.mark.parametrize("plant, reason", [
+    (lambda path: path.write_text("[" * 100_000), "entry nests too deeply"),
+    (lambda path: path.mkdir(), "[Errno 21] Is a directory: "),
+], ids=["nested", "directory"])
+def test_a_hostile_entry_gives_one_line_in_every_reader(capsys, isolated_cache, plant, reason):
+    path = characters.cache_path((1, 0, 0, 0, 0, 0))
+    plant(path)
+    for argv in (["char", "1,0,0,0,0,0"], ["cache", "validate"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: unreadable cache entry {path}: {reason}")
+        assert err.count("\n") == 1
+    code, out, _ = run(capsys, "verify", "--suite=dims")
+    assert code == 1
+    (fail,) = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert fail.startswith(f"FAIL [dims] cached entry {path.name}: "
+                           f"unreadable cache entry {path}: {reason}")
+    # the documented remedy: clear removes an entry it can unlink, names one it cannot
+    code, out, err = run(capsys, "cache", "clear")
+    if path.is_dir():
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot remove cache entry {path}: ")
+        assert err.count("\n") == 1
+    else:
+        assert (code, out, err) == (0, f"removed 1 entries from {isolated_cache}\n", "")
+
+
+def test_cache_clear_skips_an_entry_already_removed(capsys, isolated_cache, monkeypatch):
+    # as when a concurrent `cache clear` unlinks it between the listing and the unlink
+    run(capsys, "char", "1,0,0,0,0,0")
+    listed = characters.cache_entries() + [characters.cache_path((0, 0, 0, 0, 0, 1))]
+    monkeypatch.setattr(characters, "cache_entries", lambda: listed)
+    assert run(capsys, "cache", "clear") == (0, f"removed 1 entries from {isolated_cache}\n", "")
+    assert list(isolated_cache.iterdir()) == []
+
+
 def test_cache_validate_rejects_stray_file(capsys, isolated_cache):
     # only the name a lookup would read is an entry, and the dims sweep agrees:
     # no labels, a leading zero, an Arabic-Indic digit one

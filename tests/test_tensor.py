@@ -7,8 +7,7 @@ from e6cs.errors import (InternalInconsistencyError, NegativeMultiplicityError,
                          NonzeroResidualError)
 from e6cs.characters import Character
 from e6cs.ring import parse_polynomial
-from e6cs.tensor import (CGSeries, monomial_decompose, series_z1_times_power,
-                         tensor_decompose, verify_orthogonality)
+from e6cs.tensor import CGSeries, monomial_decompose, tensor_decompose
 
 L = lattice.fundamental_weight
 
@@ -80,8 +79,6 @@ def test_monomial_z1z2z3():
 
 
 def test_orthogonality_examples():
-    assert verify_orthogonality(1, 2, 5)
-    assert verify_orthogonality(3, 5, 2)
     assert tensor_decompose(L(1), L(2)).multiplicity(L(5)) == 1
     assert tensor_decompose(L(5), L(6)).multiplicity(L(2)) == 1
 
@@ -120,29 +117,6 @@ def test_duality_suite_catches_a_wrong_multiplicity(monkeypatch):
     check = _orthogonality_check(verify.suite_duality())
     assert not check.ok
     assert "(1, 6, 2)" in check.detail
-
-
-def test_series_z1_times_power_examples():
-    series = series_z1_times_power(1, 2)
-    assert series.terms == {(3, 0, 0, 0, 0, 0): 1, (1, 0, 1, 0, 0, 0): 1, (1, 0, 0, 0, 0, 1): 1}
-    series = series_z1_times_power(6, 1)
-    assert series.terms == {(1, 0, 0, 0, 0, 1): 1, (0, 1, 0, 0, 0, 0): 1, (0, 0, 0, 0, 0, 0): 1}
-    series = series_z1_times_power(4, 2)
-    assert series.terms == {
-        (1, 0, 0, 2, 0, 0): 1, (0, 1, 0, 1, 1, 0): 1, (0, 0, 1, 1, 0, 1): 1,
-        (1, 1, 0, 1, 0, 0): 1, (0, 0, 0, 1, 1, 0): 1,
-    }
-
-
-def test_series_z1_times_power_validates_arguments():
-    # the index is read as lattice.fundamental_weight reads it: a range test
-    # alone would pass 1.5, whose weight is zero, and read True as 1
-    for k in (0, 7, 1.5, True):
-        with pytest.raises(ValueError, match="index must be an int from 1 to 6"):
-            series_z1_times_power(k, 2)
-    for n in (0, -1, 1.5, True):
-        with pytest.raises(ValueError, match="power must be an int of at least 1"):
-            series_z1_times_power(1, n)
 
 
 def test_series_json_round_trip():
