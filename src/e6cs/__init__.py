@@ -2,7 +2,7 @@
 the kappa=1 Calogero-Sutherland operator in fundamental-character variables."""
 
 from .characters import Character, character, character_annihilator, character_recursion
-from .hamiltonian import apply_delta, eigenvalue, energy, monomial_expansion
+from .hamiltonian import apply_delta, eigenvalue, energy
 from .lattice import (conjugate, dominant_weights_below, inner_product,
                       positive_roots, to_root_basis, weyl_dimension,
                       weyl_vector_in_root_basis)
@@ -23,7 +23,6 @@ __all__ = [
     "energy",
     "inner_product",
     "monomial_decompose",
-    "monomial_expansion",
     "parse_polynomial",
     "positive_roots",
     "tensor_decompose",

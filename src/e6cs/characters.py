@@ -267,11 +267,13 @@ def _store(ch: Character) -> None:
         os.replace(tmp, path)  # atomic publish; identical content on races
     except FileNotFoundError:
         pass  # a concurrent `cache clear` removed tmp: the entry is not kept
-    except BaseException:
+    except BaseException as exc:
         try:
             os.unlink(tmp)
         except OSError:
             pass
+        if isinstance(exc, OSError):  # a full disk, a quota, a file-size limit
+            raise _unusable(path.parent, exc) from exc
         raise
 
 
@@ -289,7 +291,8 @@ def _load(m) -> Character | None:
     except (OSError, ValueError) as exc:
         if isinstance(exc, OSError) and not path.parent.is_dir():  # not the entry's fault
             raise _unusable(path.parent, exc) from exc
-        raise CacheCorruptError(f"unreadable cache entry {path}: {exc}") from exc
+        detail = (exc.strerror or exc) if isinstance(exc, OSError) else exc
+        raise CacheCorruptError(f"unreadable cache entry {path}: {detail}") from exc
     if ch is None:
         return None
     try:

@@ -267,21 +267,3 @@ def apply_delta(p: SparsePolynomial) -> SparsePolynomial:
     """Apply the kappa=1 operator to a polynomial, exactly."""
     third = Fraction(1, 3)
     return _wrap({e: _norm(v * third) for e, v in shifted_image_x3(p.terms, 0).items() if v})
-
-
-def monomial_expansion(n: Sequence[int]) -> list[tuple[lattice.Vec, Rational]]:
-    """Terms of Delta z^n keyed by the root-lattice shift from n.
-
-    Returns (shift in the root basis, coefficient) pairs, the zero shift
-    carrying the eigenvalue of n.  Raises NonIntegralError if any produced
-    exponent differs from n outside the root lattice, which would signal a
-    corrupted coefficient table.
-    """
-    n = lattice._check_dominant(n)
-    out = []
-    for t, c3 in image_x3(n).items():
-        shift = lattice.to_root_basis(tuple(a - b for a, b in zip(n, t)))
-        out.append((shift, _norm(Fraction(c3, 3))))
-    out.sort(key=lambda item: (lattice.height(item[0]), item[0]))
-    return out
-

@@ -169,19 +169,6 @@ class SparsePolynomial:
                 out[de] = _norm(out.get(de, 0) + c * e[i])
         return _wrap({e: c for e, c in out.items() if c})
 
-    def evaluate(self, point: Sequence[Coef]) -> Coef:
-        total: Coef = 0
-        for e, c in self.terms.items():
-            t = c
-            for base, p in zip(point, e):
-                if p:
-                    t *= base ** p
-            total += t
-        return _norm(total)
-
-    def coefficient_of(self, e: Sequence[int]) -> Coef:
-        return self.terms.get(tuple(e), 0)
-
     def conjugate_variables(self) -> "SparsePolynomial":
         """Swap variables 1<->6 and 3<->5 in every exponent: the diagram
         symmetry lattice.conjugate, which the operator commutes with."""

@@ -1,9 +1,16 @@
+import errno
 import hashlib
 import json
+import os
+import shlex
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import e6cs
 from e6cs import characters, lattice
 from e6cs.cli import main
 from e6cs.ring import SparsePolynomial, parse_polynomial
@@ -32,6 +39,30 @@ def test_char_example_with_constant_term(capsys):
     code, out, _ = run(capsys, "char", "1,0,1,0,0,0")
     assert code == 0
     assert out.strip() == "z1*z3 - z1*z6 - z4 + 1"
+
+
+def _readme_examples():
+    # each `e6cs … # -> OUT` line of README's Command line block, as written
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    lines = [line.partition("# -> ") for line in block.splitlines()]
+    return [(shlex.split(command), out) for command, arrow, out in lines if arrow]
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_shows_both_leading_minus_forms():
+    argvs = [argv for argv, _ in README_EXAMPLES]
+    assert ["e6cs", "delta", "--", "-1/3*z1"] in argvs
+    assert ["e6cs", "eig", "1,0,0,0,0,0", "--kappa=-1/2"] in argvs
+
+
+@pytest.mark.parametrize("argv, out", README_EXAMPLES,
+                         ids=[" ".join(argv[1:]) for argv, _ in README_EXAMPLES])
+def test_readme_command_examples_print_what_they_say(capsys, isolated_cache, argv, out):
+    assert argv[0] == "e6cs"
+    assert run(capsys, *argv[1:]) == (0, out + "\n", "")
 
 
 def test_char_json_output_is_pinned(capsys, isolated_cache):
@@ -336,7 +367,7 @@ def test_cache_clear_removes_interrupted_store_temporaries(capsys, isolated_cach
 
 @pytest.mark.parametrize("plant, reason", [
     (lambda path: path.write_text("[" * 100_000), "entry nests too deeply"),
-    (lambda path: path.mkdir(), "[Errno 21] Is a directory: "),
+    (lambda path: path.mkdir(), "Is a directory"),
 ], ids=["nested", "directory"])
 def test_a_hostile_entry_gives_one_line_in_every_reader(capsys, isolated_cache, plant, reason):
     path = characters.cache_path((1, 0, 0, 0, 0, 0))
@@ -344,13 +375,11 @@ def test_a_hostile_entry_gives_one_line_in_every_reader(capsys, isolated_cache, 
     for argv in (["char", "1,0,0,0,0,0"], ["cache", "validate"]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
-        assert err.startswith(f"error: unreadable cache entry {path}: {reason}")
-        assert err.count("\n") == 1
+        assert err == f"error: unreadable cache entry {path}: {reason}\n"
     code, out, _ = run(capsys, "verify", "--suite=dims")
     assert code == 1
     (fail,) = [line for line in out.splitlines() if line.startswith("FAIL")]
-    assert fail.startswith(f"FAIL [dims] cached entry {path.name}: "
-                           f"unreadable cache entry {path}: {reason}")
+    assert fail == f"FAIL [dims] cached entry {path.name}: unreadable cache entry {path}: {reason}"
     # the documented remedy: clear removes an entry it can unlink, names one it cannot
     code, out, err = run(capsys, "cache", "clear")
     if path.is_dir():
@@ -415,3 +444,28 @@ def test_unusable_cache_directory_is_named(capsys, tmp_path, monkeypatch, argv, 
     assert (code, out) == (1, "")
     assert err.startswith(f"error: unusable cache directory {directory}: ")
     assert err.count("\n") == 1 and "chi_" not in err
+
+
+def test_a_failed_cache_write_gives_one_line(capsys, isolated_cache, monkeypatch):
+    # a full disk or a quota fails the store's rename; its tmp file is removed
+    def no_space(src, dst):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    monkeypatch.setattr(os, "replace", no_space)
+    code, out, err = run(capsys, "char", "1,0,0,0,0,0")
+    assert (code, out) == (1, "")
+    assert err == f"error: unusable cache directory {isolated_cache}: {os.strerror(errno.ENOSPC)}\n"
+    assert list(isolated_cache.iterdir()) == []
+
+
+def test_a_file_size_limit_gives_one_line(tmp_path):
+    # a real failed write, as under `ulimit -f`: the 206-byte entry of
+    # 0,0,0,2,0,0 is over a 100-byte limit, and the write raises EFBIG
+    script = ("import resource, sys; resource.setrlimit(resource.RLIMIT_FSIZE, (100, 100)); "
+              "from e6cs.cli import main; sys.exit(main(['char', '0,0,0,2,0,0']))")
+    env = dict(os.environ, PYTHONPATH=str(Path(e6cs.__file__).parents[1]),
+               PYTHONDONTWRITEBYTECODE="1", **{characters.CACHE_ENV: str(tmp_path)})
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: unusable cache directory {tmp_path}: {os.strerror(errno.EFBIG)}\n"
+    assert not list(tmp_path.glob("*.tmp"))

@@ -85,24 +85,14 @@ def test_apply_delta_is_linear(p, q, a, b):
     assert lhs == rhs
 
 
-def test_monomial_expansion_single_variable():
-    assert hamiltonian.monomial_expansion((1, 0, 0, 0, 0, 0)) == \
-        [((0, 0, 0, 0, 0, 0), Fraction(104, 3))]
-    assert hamiltonian.monomial_expansion((0,) * 6) == []
-
-
-def test_monomial_expansion_square():
-    got = dict(hamiltonian.monomial_expansion((2, 0, 0, 0, 0, 0)))
-    two_l1 = (2, 0, 0, 0, 0, 0)
-    shift_l3 = lattice.to_root_basis(tuple(a - b for a, b in zip(two_l1, (0, 0, 1, 0, 0, 0))))
-    shift_l6 = lattice.to_root_basis(tuple(a - b for a, b in zip(two_l1, (0, 0, 0, 0, 0, 1))))
-    assert got == {(0,) * 6: Fraction(224, 3), shift_l3: -8, shift_l6: -40}
-
-
-def test_monomial_expansion_zero_shift_is_eigenvalue():
+def test_apply_delta_is_triangular_with_the_eigenvalue_on_the_diagonal():
+    # Delta z^n = eigenvalue(n) z^n + terms z^e with n - e a nonzero sum of positive roots
     for n in [(0, 1, 0, 2, 0, 0), (1, 0, 0, 0, 0, 3), (2, 2, 0, 0, 1, 0)]:
-        got = dict(hamiltonian.monomial_expansion(n))
-        assert got[(0,) * 6] == hamiltonian.eigenvalue(n, 1)
+        image = hamiltonian.apply_delta(SparsePolynomial.monomial(n)).terms
+        assert image[n] == hamiltonian.eigenvalue(n, 1)
+        for e in image:
+            shift = lattice.to_root_basis(tuple(a - b for a, b in zip(n, e)))
+            assert min(shift) >= 0 and (e == n) == (shift == (0,) * 6), (n, e)
 
 
 def test_eigenvalue_strictly_increasing_along_dominance():

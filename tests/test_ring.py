@@ -12,15 +12,12 @@ from e6cs.lattice import fundamental_weight
 from e6cs.ring import (TERM_LIMIT, PolynomialSyntaxError, SparsePolynomial, coef_from_str,
                        coef_to_str, parse_polynomial)
 
-DIMS = (27, 78, 351, 2925, 351, 27)
-
 exponents = st.tuples(*([st.integers(0, 3)] * 6))
 coefficients = st.one_of(
     st.integers(-9, 9).filter(bool),
     st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
 )
 polynomials = st.dictionaries(exponents, coefficients, max_size=5).map(SparsePolynomial)
-points = st.tuples(*([st.integers(-3, 3)] * 6))
 
 
 def z(j):
@@ -62,20 +59,6 @@ def test_a_variable_index_is_a_fundamental_weight_index():
             p.partial_derivative(j)
 
 
-def test_evaluate_examples():
-    assert parse_polynomial("z1^2 - z3 - z6").evaluate(DIMS) == 351
-    assert SparsePolynomial.constant(5).evaluate((1, 2, 3, 4, 5, 6)) == 5
-    assert parse_polynomial("z1*z6 - z2 - 1").evaluate(DIMS) == 650
-
-
-def test_coefficient_of():
-    p = parse_polynomial("z1^2 - z3 - z6")
-    assert p.coefficient_of((0, 0, 1, 0, 0, 0)) == -1
-    assert SparsePolynomial.zero().coefficient_of((1, 0, 0, 0, 0, 0)) == 0
-    chi3 = parse_polynomial("z1^3 + z2 - 2*z1*z3 + z4 - z1*z6")
-    assert chi3.coefficient_of((1, 0, 1, 0, 0, 0)) == -2
-
-
 def test_conjugate_variables():
     p = parse_polynomial("z1^2 - z3 - z6")
     assert p.conjugate_variables() == parse_polynomial("z6^2 - z5 - z1")
@@ -102,12 +85,6 @@ def test_additive_inverse(p):
 def test_derivatives_commute(p, j, k):
     assert p.partial_derivative(j).partial_derivative(k) == \
         p.partial_derivative(k).partial_derivative(j)
-
-
-@given(polynomials, polynomials, points)
-def test_evaluate_is_ring_homomorphism(p, q, pt):
-    assert (p * q).evaluate(pt) == p.evaluate(pt) * q.evaluate(pt)
-    assert (p + q).evaluate(pt) == p.evaluate(pt) + q.evaluate(pt)
 
 
 @given(polynomials, polynomials)
@@ -207,7 +184,8 @@ def test_parser_error_messages_are_pinned(text, message):
 
 
 def test_parser_rational_and_parentheses():
-    assert parse_polynomial("1/3*(z1 - z2)^2").evaluate((4, 1, 0, 0, 0, 0)) == 3
+    assert parse_polynomial("1/3*(z1 - z2)^2") == \
+        parse_polynomial("1/3*z1^2 - 2/3*z1*z2 + 1/3*z2^2")
 
 
 @pytest.mark.parametrize("build, fault", [
