@@ -2,7 +2,9 @@
 
 Two independent routes compute the same polynomial: a coefficient recursion
 descending the weight lattice from the leading monomial, and an annihilator
-product that projects the leading monomial onto the eigenspace.  A persistent
+product that projects the leading monomial onto the eigenspace.  `character`
+computes with the recursion; the annihilator is the second route that
+`verify` and the tests check the recursion against.  A persistent
 one-file-per-weight cache makes repeated products cheap across processes.
 """
 
@@ -333,12 +335,10 @@ def _remove(path: Path) -> bool:
     return True
 
 
-def character(m, method: str = "recursion") -> Character:
-    """Cache-first character lookup; computes, validates and persists on miss.
-    method must name one of _METHODS, on a hit as on a miss."""
+def character(m) -> Character:
+    """Cache-first character lookup; on a miss, computes with the recursion,
+    validates and persists."""
     m = lattice._check_dominant(m)
-    if type(method) is not str or method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}")
     hit = _MEMORY.get(m)
     if hit is not None:
         return hit
@@ -346,7 +346,7 @@ def character(m, method: str = "recursion") -> Character:
     if hit is not None:
         _MEMORY[m] = hit
         return hit
-    ch = _METHODS[method](m)
+    ch = character_recursion(m)
     validate_character(ch)
     _store(ch)
     _MEMORY[m] = ch

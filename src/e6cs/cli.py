@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import hamiltonian, lattice, tensor, verify
-from .characters import (_METHODS, cache_dir, cache_entries, cache_key, character,
-                         character_to_json, clear_cache, clear_memory_cache)
+from .characters import (cache_dir, cache_entries, cache_key, character, character_to_json,
+                         clear_cache, clear_memory_cache)
 from .errors import E6CSError
 from .ring import Coef, PolynomialSyntaxError, coef_from_str, coef_to_str, parse_polynomial
 
@@ -52,7 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("char", help="irreducible character as a polynomial in z1..z6")
     p.add_argument("weight", type=weight_arg)
-    p.add_argument("--method", choices=list(_METHODS), default="recursion")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(run=_cmd_char)
 
@@ -104,7 +104,7 @@ def _print_series(series: tensor.CGSeries, as_json: bool) -> None:
 
 
 def _cmd_char(args) -> None:
-    ch = character(args.weight, method=args.method)
+    ch = character(args.weight)
     if args.format == "json":
         print(json.dumps(character_to_json(ch)))
     else:
@@ -145,7 +145,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args) or 0
+        code = args.run(args) or 0
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: point fd 1 at devnull so that the flush at exit
+        # cannot fail again, as the Python signal docs advise for SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except PolynomialSyntaxError as exc:
         parser.error(str(exc))  # exits 2
     except E6CSError as exc:

@@ -50,16 +50,9 @@ def test_dispatcher_uses_cache():
     first = character(w)
     assert first.method == "recursion"
     characters.clear_memory_cache()
-    again = character(w, method="annihilator")  # hit wins over requested method
+    again = character(w)  # reloaded from disk
     assert again.poly == first.poly
     assert again.method == "recursion"
-
-
-def test_dispatcher_method_selection(isolated_cache):
-    ch = character((1, 0, 0, 0, 1, 0), method="annihilator")
-    assert ch.method == "annihilator"
-    with pytest.raises(ValueError):
-        character((1, 0, 0, 0, 0, 0), method="golden")
 
 
 def test_third_order_character_from_reference_data():
@@ -305,7 +298,7 @@ def test_stale_cache_version_is_recomputed(isolated_cache, monkeypatch, capsys):
         payload = json.loads(characters.cache_path(v).read_text())
         assert payload["version"] == characters.CACHE_VERSION == 2
     characters.clear_memory_cache()
-    monkeypatch.setitem(characters._METHODS, "recursion", None)  # hits only from here
+    monkeypatch.setattr(characters, "character_recursion", None)  # hits only from here
     assert character(w).poly == expect[w] and character(u).poly == expect[u]
 
 
@@ -343,20 +336,6 @@ def test_dims_sweep_does_not_prove_again_what_this_process_stored(isolated_cache
     assert main(["cache", "validate"]) == 0
     assert residual_passes == [characters._MEMORY[w].poly.terms  # in entry-name order
                                for w in sorted(weights)]
-
-
-def test_an_unknown_method_is_rejected_on_a_hit_as_on_a_miss(isolated_cache):
-    w = (1, 0, 0, 0, 0, 0)
-    for method in ("bogus", ["recursion"], None):
-        with pytest.raises(ValueError, match=re.escape(f"unknown method {method!r}")):
-            character(w, method=method)  # a miss
-    character(w)
-    with pytest.raises(ValueError, match="unknown method 'bogus'"):
-        character(w, method="bogus")  # a memory hit
-    characters.clear_memory_cache()
-    with pytest.raises(ValueError, match="unknown method 'bogus'"):
-        character(w, method="bogus")  # a cache hit
-    assert w not in characters._MEMORY
 
 
 def test_verify_renders_polynomials_only_for_a_failed_check(monkeypatch):

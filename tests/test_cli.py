@@ -12,6 +12,7 @@ import pytest
 
 import e6cs
 from e6cs import characters, lattice
+from e6cs.characters import character_annihilator
 from e6cs.cli import main
 from e6cs.ring import SparsePolynomial, parse_polynomial
 from e6cs.tensor import CGSeries, tensor_decompose
@@ -42,11 +43,13 @@ def test_char_example_with_constant_term(capsys):
 
 
 def _readme_examples():
-    # each `e6cs … # -> OUT` line of README's Command line block, as written
+    # every command of README's Command line block, as written, with the
+    # output its `# -> OUT` comment gives, or None where it gives none
     text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = text.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
     lines = [line.partition("# -> ") for line in block.splitlines()]
-    return [(shlex.split(command), out) for command, arrow, out in lines if arrow]
+    return [(shlex.split(command, comments=True), out if arrow else None)
+            for command, arrow, out in lines]
 
 
 README_EXAMPLES = _readme_examples()
@@ -62,7 +65,10 @@ def test_readme_shows_both_leading_minus_forms():
                          ids=[" ".join(argv[1:]) for argv, _ in README_EXAMPLES])
 def test_readme_command_examples_print_what_they_say(capsys, isolated_cache, argv, out):
     assert argv[0] == "e6cs"
-    assert run(capsys, *argv[1:]) == (0, out + "\n", "")
+    code, got, err = run(capsys, *argv[1:])
+    assert (code, err) == (0, "")
+    if out is not None:
+        assert got == out + "\n"
 
 
 def test_char_json_output_is_pinned(capsys, isolated_cache):
@@ -84,12 +90,6 @@ def test_char_json_round_trips(capsys):
     assert record["weight"] == [1, 1, 0, 0, 0, 0]
     assert SparsePolynomial.from_records(record["terms"]) == parse_polynomial("z1*z2 - z1 - z5")
     assert record["method"] == "recursion"
-
-
-def test_char_annihilator_method(capsys, isolated_cache):
-    code, out, _ = run(capsys, "char", "0,2,0,0,0,0", "--method=annihilator", "--format=json")
-    assert code == 0
-    assert json.loads(out)["method"] == "annihilator"
 
 
 def test_dim(capsys):
@@ -175,6 +175,7 @@ def test_usage_errors_exit_2(capsys):
     for argv in [("dim", "1,2,3"),
                  ("char", "1,0,0,0,0,x"),
                  ("char", "-1,0,0,0,0,0"),
+                 ("char", "0,2,0,0,0,0", "--method=annihilator"),  # the recursion only
                  # labels are plain ASCII decimal, as in cache entry names: int()
                  # would read 10, 1, 1 and 1 here
                  ("dim", "1_0,0,0,0,0,0"),
@@ -334,6 +335,24 @@ def test_the_cold_monomial_job_is_pinned(capsys, isolated_cache):
         (0, f"validated 633 entries in {isolated_cache}\n", "")
 
 
+def test_an_annihilator_entry_of_an_older_run_still_loads(capsys, isolated_cache):
+    # what `char 0,2,0,0,0,0 --method=annihilator` stored before the option went
+    w = (0, 2, 0, 0, 0, 0)
+    characters._store(character_annihilator(w))
+    path = characters.cache_path(w)
+    stored = path.read_bytes()
+    code, out, err = run(capsys, "char", "0,2,0,0,0,0", "--format=json")
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    assert record["method"] == "annihilator"
+    assert SparsePolynomial.from_records(record["terms"]) == parse_polynomial("z2^2 - z4 - z1*z6")
+    assert run(capsys, "cache", "validate") == \
+        (0, f"validated 1 entries in {isolated_cache}\n", "")
+    code, out, _ = run(capsys, "verify", "--suite=dims")
+    assert code == 0 and "cached entries swept: 1" in out
+    assert path.read_bytes() == stored
+
+
 def test_verify_dims_suite_vacuous_on_empty_cache(capsys, isolated_cache):
     code, out, _ = run(capsys, "verify", "--suite=dims")
     assert code == 0
@@ -469,3 +488,24 @@ def test_a_file_size_limit_gives_one_line(tmp_path):
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == f"error: unusable cache directory {tmp_path}: {os.strerror(errno.EFBIG)}\n"
     assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["char", "2,0,0,0,0,0"], ["verify", "--suite=roots"]],
+                         ids=" ".join)
+def test_a_closed_stdout_exits_1_quietly(tmp_path, argv, unbuffered):
+    # as in `e6cs … | head -c 0`: the reader closes its end before a byte is written
+    script = "import sys; from e6cs.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = dict(os.environ, PYTHONPATH=str(Path(e6cs.__file__).parents[1]),
+               PYTHONDONTWRITEBYTECODE="1", **{characters.CACHE_ENV: str(tmp_path)})
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
