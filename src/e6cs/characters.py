@@ -113,7 +113,12 @@ def _dimension(terms: dict[Exponent, int]) -> int:
     return total
 
 
-def validate_character(ch: Character) -> None:
+# the eigenfunction proofs a peel still owes, by weight: (character, eps3), or
+# (character, None) for the exact sigma image of an owed mate
+Owed = dict[lattice.Vec, tuple[Character, int | None]]
+
+
+def validate_character(ch: Character, owed: Owed | None = None) -> None:
     """Check the four structural invariants; raise on any violation.
 
     The one rule for when a proof is inherited.  Monic, integral and
@@ -126,25 +131,67 @@ def validate_character(ch: Character) -> None:
     = 0: the operator commutes with sigma (a load check of
     hamiltonian.parse_tables) and w and sigma(w) share their eigenvalue (an
     import check of lattice).  Any other polynomial gets the residual pass,
-    computed term by term, which must vanish."""
+    computed term by term, which must vanish.
+
+    With owed, the proofs a peel still owes, the residual pass is not run
+    but owed: owed[w] becomes (ch, eps3), or (ch, None) when ch is exactly
+    sigma of an owed mate, whose proof it will inherit.  Either way ch is not
+    proven until pay_owed runs, and its caller keeps it out of _MEMORY."""
     w, terms = ch.weight, ch.poly.terms
     if terms.get(w) != 1:
         raise InternalInconsistencyError(f"character of {w} is not monic")
     if any(type(c) is not int for c in terms.values()):
         raise InternalInconsistencyError(f"character of {w} has non-integer coefficients")
-    known, mate = _MEMORY.get(w), _MEMORY.get(lattice.conjugate(w))
+    conj = lattice.conjugate(w)
+    known, mate = _MEMORY.get(w), _MEMORY.get(conj)
     if not (known is not None and known.poly == ch.poly
             or mate is not None and mate.poly.conjugate_variables() == ch.poly):
-        acc = hamiltonian.shifted_image_x3(terms, hamiltonian.eigenvalue_x3(w))
-        if any(acc.values()):
-            t, r3 = next((t, r3) for t, r3 in acc.items() if r3)
-            raise InternalInconsistencyError(
-                f"character of {w} is not an eigenfunction: (Delta - eps) chi has "
-                f"residual {coef_to_str(Fraction(r3, 3))} at exponent {t}")
+        if owed is None:
+            _check_residual(w, terms, hamiltonian.eigenvalue_x3(w))
+        else:
+            due = owed.get(conj)
+            inherits = due is not None and due[0].poly.conjugate_variables() == ch.poly
+            owed[w] = (ch, None if inherits else hamiltonian.eigenvalue_x3(w))
     got, expect = _dimension(terms), lattice.weyl_dimension(w)
     if got != expect:
         raise InternalInconsistencyError(
             f"character of {w} evaluates to {got}, expected the Weyl dimension {expect}")
+
+
+def _check_residual(w: lattice.Vec, terms: dict[Exponent, int], eps3: int) -> None:
+    """The residual pass of validate_character: (3*Delta - eps3) chi = 0,
+    else the first nonzero residual in the order of shifted_image_x3 is named."""
+    acc = hamiltonian.shifted_image_x3(terms, eps3)
+    if any(acc.values()):
+        t, r3 = next((t, r3) for t, r3 in acc.items() if r3)
+        raise InternalInconsistencyError(
+            f"character of {w} is not an eigenfunction: (Delta - eps) chi has "
+            f"residual {coef_to_str(Fraction(r3, 3))} at exponent {t}")
+
+
+def pay_owed(owed: Owed, keep: bool = True) -> None:
+    """Empty owed, running the residual passes that validate_character left
+    there together in hamiltonian.residuals_vanish.  If one fails, or a row
+    of the operator fails its check there, each runs again alone, in load
+    order, through _check_residual, so the first corrupt entry is named with
+    the CacheCorruptError of a lookup that proves its hit at once.  With keep, every owed character then enters _MEMORY; a peel that
+    is already failing passes keep=False, only to name an earlier corrupt
+    entry first."""
+    proven = list(owed.values())
+    owed.clear()
+    due = [(ch, eps3) for ch, eps3 in proven if eps3 is not None]
+    try:
+        vanish = hamiltonian.residuals_vanish([(ch.poly.terms, eps3) for ch, eps3 in due])
+    except InternalInconsistencyError:  # a row failed its diagonal check: name the entry
+        vanish = False
+    if not vanish:
+        for ch, eps3 in due:
+            try:
+                _check_residual(ch.weight, ch.poly.terms, eps3)
+            except InternalInconsistencyError as exc:
+                raise _invalid(cache_path(ch.weight), exc) from exc
+    if keep:
+        _MEMORY.update((ch.weight, ch) for ch, _ in proven)
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +326,12 @@ def _store(ch: Character) -> None:
         raise
 
 
-def _load(m) -> Character | None:
+def _load(m, owed: Owed | None = None) -> Character | None:
     """The validated cached character of m, or None on a miss.  An entry of
     another format version is a miss, so it is recomputed and overwritten.
     The one reader of an entry: lookups and the dims sweep both call it, and
     every entry it returns has passed validate_character, which alone decides
-    whether the entry's eigenfunction proof is inherited."""
+    whether the entry's eigenfunction proof is inherited, or, with owed, owed."""
     path = cache_path(m)
     try:
         ch = decode_cache_entry(path.read_text())
@@ -300,10 +347,14 @@ def _load(m) -> Character | None:
     try:
         if ch.weight != tuple(m):
             raise InternalInconsistencyError(f"entry holds the character of {ch.weight}")
-        validate_character(ch)
+        validate_character(ch, owed)
     except InternalInconsistencyError as exc:
-        raise CacheCorruptError(f"invalid cache entry {path}: {exc}") from exc
+        raise _invalid(path, exc) from exc
     return ch
+
+
+def _invalid(path: Path, exc: InternalInconsistencyError) -> CacheCorruptError:
+    return CacheCorruptError(f"invalid cache entry {path}: {exc}")
 
 
 _MEMORY: dict[lattice.Vec, Character] = {}
@@ -335,17 +386,22 @@ def _remove(path: Path) -> bool:
     return True
 
 
-def character(m) -> Character:
+def character(m, owed: Owed | None = None) -> Character:
     """Cache-first character lookup; on a miss, computes with the recursion,
-    validates and persists."""
+    validates and persists.  With owed (validate_character), a cache hit
+    whose eigenfunction proof is owed stays out of _MEMORY, and a miss pays
+    everything owed before it computes."""
     m = lattice._check_dominant(m)
     hit = _MEMORY.get(m)
     if hit is not None:
         return hit
-    hit = _load(m)
+    hit = _load(m, owed)
     if hit is not None:
-        _MEMORY[m] = hit
+        if owed is None or m not in owed:
+            _MEMORY[m] = hit
         return hit
+    if owed:
+        pay_owed(owed)
     ch = character_recursion(m)
     validate_character(ch)
     _store(ch)

@@ -34,12 +34,15 @@ as a tuple of target ids and a tuple of integer coefficients.  The row is
 built once from the kernel, with a check that its diagonal coefficient is
 the eigenvalue.  The hot loops (the character recursion, the eigenfunction
 check and the annihilator) run over ids and map back to exponents at the
-end; image_x3 is the exponent-keyed view of one row.
+end; image_x3 is the exponent-keyed view of one row.  residuals_vanish proves
+the eigenfunction identity of up to 16 polynomials in one pass over the rows,
+their coefficients packed as the digits of one integer per exponent.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from importlib import resources
 from typing import Sequence, Union
@@ -267,3 +270,59 @@ def apply_delta(p: SparsePolynomial) -> SparsePolynomial:
     """Apply the kappa=1 operator to a polynomial, exactly."""
     third = Fraction(1, 3)
     return _wrap({e: _norm(v * third) for e, v in shifted_image_x3(p.terms, 0).items() if v})
+
+
+_CHUNK = 16  # polynomials packed into the digits of one integer per exponent
+_HALF = 1 << 63  # a digit lies in (-_HALF, _HALF) and is stored plus _HALF
+
+
+def residuals_vanish(items: Sequence[tuple[dict[Exponent, int], int]]) -> bool:
+    """True when (3*Delta - eps3) p = 0 for every (terms, eps3) of items, each
+    p having integer coefficients: the verdict of shifted_image_x3 on each,
+    reached _CHUNK polynomials at a time.
+
+    In a chunk, the coefficients of its polynomials under one exponent are
+    the balanced base-2**64 digits of one int, and their eps3 multiples those
+    of another, so each row is scattered once, as big-integer multiply-adds,
+    for the whole chunk.  Sums and integer multiples act digit by digit, so
+    the packed residual under each exponent has the polynomials' residuals
+    there as its digits, and an int whose digits all lie in (-2**63, 2**63)
+    is 0 only if every digit is.  The chunk first checks sum |c| * (largest
+    row abs sum + |eps3| + 1) < 2**63 for each polynomial, which bounds every
+    coefficient, eps3 multiple and residual by that; a chunk over it goes
+    through shifted_image_x3 one polynomial at a time."""
+    return all(_packed_residuals_vanish(items[start:start + _CHUNK])
+               for start in range(0, len(items), _CHUNK))
+
+
+def _packed_residuals_vanish(chunk: Sequence[tuple[dict[Exponent, int], int]]) -> bool:
+    index, n, half, byteorder = _INDEX, len(chunk), _HALF, sys.byteorder
+    exps: dict[Exponent, None] = {}  # every exponent of the chunk, once
+    for terms, _ in chunk:
+        exps.update(dict.fromkeys(terms))
+    ids = list(map(index.id, exps))
+    rows = list(map(index.row, ids))
+    widest = max((sum(map(abs, coefs)) for _, coefs in rows), default=0)
+    if any(sum(map(abs, terms.values())) * (widest + abs(eps3) + 1) >= half
+           for terms, eps3 in chunk):
+        return not any(any(shifted_image_x3(terms, eps3).values()) for terms, eps3 in chunk)
+    # digit k under the p-th exponent of exps is item n * p + k of a buffer,
+    # stored plus half; every digit starts at 0
+    zero = half.to_bytes(8, byteorder) * n
+    coefs_buf, eps_buf = bytearray(zero) * len(ids), bytearray(zero) * len(ids)
+    coefs_q, eps_q = memoryview(coefs_buf).cast("Q"), memoryview(eps_buf).cast("Q")
+    slot = dict(zip(exps, range(0, n * len(ids), n)))
+    for k, (terms, eps3) in enumerate(chunk):
+        for at, c in zip(map(slot.__getitem__, terms), terms.values()):
+            coefs_q[at + k] = c + half
+            eps_q[at + k] = eps3 * c + half
+    offset, from_bytes, size = int.from_bytes(zero, byteorder), int.from_bytes, 8 * n
+    acc: dict[int, int] = {}
+    get = acc.get
+    for at, i, (targets, coefs) in zip(range(0, size * len(ids), size), ids, rows):
+        # -eps3 times each polynomial's term here, then the term's row under 3*Delta
+        acc[i] = get(i, 0) + offset - from_bytes(eps_buf[at:at + size], byteorder)
+        packed = from_bytes(coefs_buf[at:at + size], byteorder) - offset
+        for t, k3 in zip(targets, coefs):
+            acc[t] = get(t, 0) + packed * k3
+    return not any(acc.values())

@@ -229,6 +229,10 @@ _TOKEN = re.compile(r"\s*(?:([0-9]+(?:/[0-9]+)?)|(z[1-6])|([()+\-*^]))")
 # of (z1^0 + ... + z1^99)*(z4^0 + ... + z4^99) took 4.9 s and 157 MB on a
 # 2-core Intel Xeon VM.
 TERM_LIMIT = 10_000
+# The most term products and power steps one whole expression may charge: a
+# sum of 10,000 powers z1^i, each within TERM_LIMIT, would otherwise take
+# time quadratic in its length.
+EXPRESSION_LIMIT = 10 * TERM_LIMIT
 
 
 class PolynomialSyntaxError(ValueError):
@@ -273,11 +277,13 @@ def parse_polynomial(text: str) -> SparsePolynomial:
     """Parse a polynomial expression such as 'z1^2 - 2*z3 + 1/3'.
 
     PolynomialSyntaxError on malformed text; BudgetExceededError, before any
-    work, on a sum, product or power over TERM_LIMIT, and, after a sum, a
-    product or a step of a power, on a number built of more than DIGIT_LIMIT
-    digits, so that no step multiplies numbers over the limit read by
-    _literal."""
+    work, on a sum, product or power over TERM_LIMIT, or on a product or a
+    power that brings the term products of the whole expression (for a power
+    of zero, its steps) over EXPRESSION_LIMIT, and, after a sum, a product or
+    a step of a power, on a number built of more than DIGIT_LIMIT digits, so
+    that no step multiplies numbers over the limit read by _literal."""
     bound = 10 ** DIGIT_LIMIT
+    spent = 0
     tokens: list[str] = []
     pos = 0
     while pos < len(text):
@@ -290,6 +296,13 @@ def parse_polynomial(text: str) -> SparsePolynomial:
         pos = m.end()
     tokens.append("")  # the end of input, the last token popped
     tokens.reverse()
+
+    def charge(work: int) -> None:
+        nonlocal spent
+        spent += work
+        if spent > EXPRESSION_LIMIT:
+            raise BudgetExceededError(f"the expression needs {spent} term products and "
+                                      f"power steps, over the limit of {EXPRESSION_LIMIT}")
 
     def parse_sum() -> SparsePolynomial:
         acc = SparsePolynomial()
@@ -310,6 +323,7 @@ def parse_polynomial(text: str) -> SparsePolynomial:
             tokens.pop()
             factor = parse_power()
             _check_budget("a product", len(acc.terms) * len(factor.terms), "term products")
+            charge(len(acc.terms) * len(factor.terms))
             acc = _check_size("a product", acc * factor, bound)
         return acc
 
@@ -324,9 +338,11 @@ def parse_polynomial(text: str) -> SparsePolynomial:
         n, t = _literal(n), len(base.terms)
         _check_budget("a power", n, "multiplications")  # first, so comb() stays small
         # step i multiplies at most C(i + t - 1, t - 1) terms by t: n * C(n + t - 1, t - 1) in all
+        work = n  # the steps of a power of zero terms, which multiply no term
         if t:
-            _check_budget(f"a power ^{n} of {t} terms", n * comb(n + t - 1, t - 1),
-                          "term products")
+            work = n * comb(n + t - 1, t - 1)
+            _check_budget(f"a power ^{n} of {t} terms", work, "term products")
+        charge(work)
         out, what = SparsePolynomial.constant(1), f"a power ^{n}"
         for _ in range(n):
             out = _check_size(what, out * base, bound)

@@ -6,6 +6,8 @@ the top guarantees that, when a candidate is reached, its residual coefficient
 is exactly its multiplicity.  Subtracting that multiple of the candidate's
 character and finishing with a zero residual is a complete correctness proof
 for the series, which is why peeling failures are raised as hard errors.
+The characters a peel reads from the cache prove their eigenfunction
+identity together, in one packed pass (characters.pay_owed).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from math import prod
 from typing import Sequence
 
 from . import lattice
-from .characters import character
+from .characters import Owed, character, pay_owed
 from .errors import (InternalInconsistencyError, NegativeMultiplicityError,
                      NonzeroResidualError)
 from .ring import SparsePolynomial
@@ -66,20 +68,28 @@ def _peel(product: SparsePolynomial, factors: tuple[lattice.Vec, ...]) -> CGSeri
     top = _top(factors)
     residual = dict(product.terms)
     out: dict[lattice.Vec, int] = {}
-    for mu in lattice.dominant_weights_below(top):
-        c = residual.get(mu, 0)
-        if not c:
-            continue
-        if not isinstance(c, int) or c < 0:
-            raise NegativeMultiplicityError(
-                f"coefficient {c} at {mu} while peeling {' x '.join(map(str, factors))}")
-        out[mu] = c
-        for e, v in character(mu).poly.terms.items():
-            s = residual.get(e, 0) - c * v
-            if s:
-                residual[e] = s
-            else:
-                residual.pop(e, None)
+    # the eigenfunction proofs of this peel's cache hits, paid together before
+    # a miss computes, before an exception leaves and before the series checks
+    owed: Owed = {}
+    try:
+        for mu in lattice.dominant_weights_below(top):
+            c = residual.get(mu, 0)
+            if not c:
+                continue
+            if not isinstance(c, int) or c < 0:
+                raise NegativeMultiplicityError(
+                    f"coefficient {c} at {mu} while peeling {' x '.join(map(str, factors))}")
+            out[mu] = c
+            for e, v in character(mu, owed).poly.terms.items():
+                s = residual.get(e, 0) - c * v
+                if s:
+                    residual[e] = s
+                else:
+                    residual.pop(e, None)
+    except BaseException:
+        pay_owed(owed, keep=False)  # an earlier corrupt entry is named first, as at its load
+        raise
+    pay_owed(owed)
     if residual:
         raise NonzeroResidualError(
             f"residual has {len(residual)} terms after peeling {' x '.join(map(str, factors))}")

@@ -158,22 +158,29 @@ def test_the_scaleup_product_is_pinned_cold_and_warm(isolated_cache, fresh_index
     # the benchmark's query, computed on an empty cache, then loaded from it with
     # the memory tier emptied as in a new process.  Both factors are
     # self-conjugate, so the set of characters it needs is closed under the
-    # diagram symmetry and each conjugate pair gets one residual pass; every
-    # term of every character is keyed by the exponent index's own tuple,
-    # never a copy; and the CLI's --json stdout is the same byte for byte
+    # diagram symmetry and each conjugate pair gets one residual pass, alone
+    # or in the warm peel's packed pass; every term of every character is
+    # keyed by the exponent index's own tuple, never a copy; and the CLI's
+    # --json stdout is the same byte for byte
     validated, passes = [], []
     validate, image = characters.validate_character, hamiltonian.shifted_image_x3
+    packed = hamiltonian.residuals_vanish
 
-    def counted_validate(ch):
+    def counted_validate(ch, *owed):
         validated.append(ch.weight)
-        return validate(ch)
+        return validate(ch, *owed)
 
     def counted_image(terms, eps3):
         passes.append(eps3)
         return image(terms, eps3)
 
+    def counted_packed(items):
+        passes.extend(eps3 for _, eps3 in items)
+        return packed(items)
+
     monkeypatch.setattr(characters, "validate_character", counted_validate)
     monkeypatch.setattr(hamiltonian, "shifted_image_x3", counted_image)
+    monkeypatch.setattr(hamiltonian, "residuals_vanish", counted_packed)
     runs = []
     with fresh_index() as index:
         for _ in range(2):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from e6cs import hamiltonian, lattice
+from e6cs.characters import character_recursion
 from e6cs.errors import InternalInconsistencyError, NonIntegralError
 from e6cs.ring import SparsePolynomial, parse_polynomial
 
@@ -251,3 +252,98 @@ def test_parsing_the_tables_leaves_the_exponent_index_alone(fresh_index):
     with fresh_index() as index:
         hamiltonian.parse_tables(_table_records())
         assert index.exps == [] and index.ids == {}
+
+
+# ---------------------------------------------------------------------------
+# The packed residual pass against one shifted_image_x3 pass per polynomial
+# ---------------------------------------------------------------------------
+DEGREE_4 = [w for w in product(range(5), repeat=6) if sum(w) <= 4]
+
+
+@cache
+def _eigenpair(w):
+    """(terms, eps3) of the character of w: (3*Delta - eps3) chi = 0."""
+    return character_recursion(w).poly.terms, hamiltonian.eigenvalue_x3(w)
+
+
+def _one_pass_each(items):
+    return all(not any(hamiltonian.shifted_image_x3(terms, eps3).values())
+               for terms, eps3 in items)
+
+
+def _bumped(terms, e, by=1):
+    return {**terms, e: terms[e] + by}
+
+
+def _sigma_swapped(terms):
+    """terms with the coefficients at e and sigma(e) exchanged for the first e
+    where they differ, which keeps the dimension; None when sigma fixes all."""
+    for e, c in terms.items():
+        mate = lattice.conjugate(e)
+        if terms.get(mate, 0) != c:
+            swapped = {**terms, e: terms.get(mate, 0), mate: c}
+            return {x: v for x, v in swapped.items() if v}
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_packed_residuals_agree_with_one_pass_each(data):
+    # up to 40 characters span three chunks; a mutated member breaks its chunk
+    weights = data.draw(st.lists(st.sampled_from(DEGREE_4), max_size=40))
+    items = [_eigenpair(w) for w in weights]
+    if items:
+        for k in data.draw(st.sets(st.integers(0, len(items) - 1), max_size=3)):
+            terms, eps3 = items[k]
+            swapped = _sigma_swapped(terms) if data.draw(st.booleans()) else None
+            if swapped is None:
+                e = data.draw(st.sampled_from(sorted(terms)))
+                swapped = _bumped(terms, e, data.draw(st.sampled_from([-2, -1, 1, 2])))
+            items[k] = (swapped, eps3)
+    assert hamiltonian.residuals_vanish(items) is _one_pass_each(items)
+
+
+def test_packed_residuals_at_the_chunk_edge():
+    assert hamiltonian._CHUNK == 16
+    items = [_eigenpair(w) for w in DEGREE_4 if sum(w) == 3][:17]
+    terms, eps3 = items[-1]
+    broken = (_sigma_swapped(terms) or _bumped(terms, next(iter(terms))), eps3)
+    for size in (16, 17):
+        assert hamiltonian.residuals_vanish(items[:size]) is True
+        # the last member alone is wrong: the last chunk, or the only one
+        assert hamiltonian.residuals_vanish(items[:size - 1] + [broken]) is False
+        assert hamiltonian.residuals_vanish([broken] + items[1:size]) is False
+    assert hamiltonian.residuals_vanish([]) is True
+
+
+def test_packed_residuals_over_the_digit_bound_take_one_pass_each(monkeypatch):
+    # 2**70 times a character is an eigenfunction whose coefficients cannot
+    # be digits below 2**63: its whole chunk is proven one polynomial at a time
+    terms, eps3 = _eigenpair((0, 1, 0, 0, 1, 0))
+    big = {e: c << 70 for e, c in terms.items()}
+    small = _eigenpair((1, 0, 0, 0, 0, 1))
+    passes = []
+    one_pass = hamiltonian.shifted_image_x3
+    monkeypatch.setattr(hamiltonian, "shifted_image_x3",
+                        lambda terms, eps3: passes.append(eps3) or one_pass(terms, eps3))
+    assert hamiltonian.residuals_vanish([small, (big, eps3)]) is True
+    assert passes == [small[1], eps3]
+    e = next(e for e in big if e != (0, 1, 0, 0, 1, 0))
+    assert hamiltonian.residuals_vanish([small, (_bumped(big, e), eps3)]) is False
+    # the packed pass alone, with no fallback, for the same characters
+    passes.clear()
+    assert hamiltonian.residuals_vanish([small, (terms, eps3)]) is True
+    assert passes == []
+
+
+def test_packed_residuals_on_an_empty_index(fresh_index):
+    # exponents the index has not met get ids and rows, as one pass would give them
+    items = [_eigenpair(w) for w in [(0, 0, 0, 1, 0, 0), (2, 0, 0, 0, 0, 1), (0, 2, 0, 0, 0, 0)]]
+    terms, eps3 = items[1]
+    broken = (_sigma_swapped(terms), eps3)
+    with fresh_index() as index:
+        assert hamiltonian.residuals_vanish(items) is True
+        assert all(index.rows[index.ids[e]] for t, _ in items for e in t)
+        assert hamiltonian.residuals_vanish(items + [broken]) is False
+    with fresh_index():
+        assert hamiltonian.residuals_vanish([broken]) is _one_pass_each([broken]) is False

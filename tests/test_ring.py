@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from e6cs.errors import BudgetExceededError
 from e6cs.hamiltonian import apply_delta
 from e6cs.lattice import fundamental_weight
-from e6cs.ring import (TERM_LIMIT, PolynomialSyntaxError, SparsePolynomial, coef_from_str,
-                       coef_to_str, parse_polynomial)
+from e6cs.ring import (EXPRESSION_LIMIT, TERM_LIMIT, PolynomialSyntaxError, SparsePolynomial,
+                       coef_from_str, coef_to_str, parse_polynomial)
 
 exponents = st.tuples(*([st.integers(0, 3)] * 6))
 coefficients = st.one_of(
@@ -235,10 +235,19 @@ def _line(j, count):
     ("(z1 + z2)^100", "a power ^100 of 2 terms needs 10100 term products"),
     ("(z1 + z2 + z3 + z4 + z5 + z6)^8", "a power ^8 of 6 terms needs 10296 term products"),
     ("(z1 + z2 + z3 + z4 + z5 + z6)^10", "a power ^10 of 6 terms needs 30030 term products"),
+    # each z1^i is within TERM_LIMIT, but the sum's powers charge 0 + 1 + ... + 447
+    # = 100128 term products to the whole expression, which stops long before
+    # its 10,000 terms would take time quadratic in their count
+    pytest.param("(" + " + ".join(f"z1^{i}" for i in range(10_000)) + ")^10000",
+                 "the expression needs 100128 term products and power steps",
+                 id="(z1^0 + ... + z1^9999)^10000"),
 ])
 def test_expression_work_is_bounded_before_it_is_done(text, size):
-    assert TERM_LIMIT == 10_000
-    with pytest.raises(BudgetExceededError, match=re.escape(f"{size}, over the limit of 10000")):
+    assert TERM_LIMIT == 10_000 and EXPRESSION_LIMIT == 10 * TERM_LIMIT
+    # one operation is held to TERM_LIMIT, the whole expression to EXPRESSION_LIMIT
+    limit = EXPRESSION_LIMIT if size.startswith("the expression") else TERM_LIMIT
+    with pytest.raises(BudgetExceededError,
+                       match=re.escape(f"{size}, over the limit of {limit}") + "$"):
         parse_polynomial(text)
 
 

@@ -1,10 +1,13 @@
+import json
 import re
+import shutil
 
 import pytest
 
-from e6cs import characters, lattice, tensor, verify
-from e6cs.errors import (InternalInconsistencyError, NegativeMultiplicityError,
-                         NonzeroResidualError)
+from e6cs import characters, hamiltonian, lattice, tensor, verify
+from e6cs.cli import main
+from e6cs.errors import (CacheCorruptError, InternalInconsistencyError,
+                         NegativeMultiplicityError, NonzeroResidualError)
 from e6cs.characters import Character
 from e6cs.ring import parse_polynomial
 from e6cs.tensor import CGSeries, monomial_decompose, tensor_decompose
@@ -197,3 +200,144 @@ def test_series_check_applies_top_multiplicity_and_dimension_balance(change, fau
     change(terms)
     with pytest.raises(InternalInconsistencyError, match=re.escape(fault)):
         tensor._check_series(CGSeries(series.factors, terms))
+
+
+# ---------------------------------------------------------------------------
+# A peel owes the eigenfunction proofs of its cache hits and pays them together
+# ---------------------------------------------------------------------------
+SCALEUP = ((1, 1, 1, 1, 1, 1), (0, 0, 0, 1, 0, 0))
+SWAPPED = (1, 1, 1, 0, 1, 4)  # a hit of the scale-up peel; sigma(SWAPPED) = (4, 1, 1, 0, 1, 1)
+LATER = (1, 2, 0, 1, 2, 0)  # the candidate the peel reaches right after SWAPPED
+
+
+@pytest.fixture(scope="module")
+def scaleup_cache(tmp_path_factory):
+    """The cache entries of the scale-up product and its series, computed once."""
+    path = tmp_path_factory.mktemp("scaleup-cache")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(characters.CACHE_ENV, str(path))
+        characters.clear_memory_cache()
+        series = tensor_decompose(*SCALEUP)
+        characters.clear_memory_cache()
+    return path, series
+
+
+@pytest.fixture
+def warm_scaleup(scaleup_cache, isolated_cache):
+    """A copy of the scale-up entries as this test's cache, as in a new process."""
+    source, series = scaleup_cache
+    for entry in source.iterdir():
+        shutil.copy(entry, isolated_cache)
+    return isolated_cache, series
+
+
+def _sigma_swap_entry(w, term_index):
+    """Exchange the coefficients of chi(w) at (0,1,0,2,1,1) and at its sigma
+    image (1,1,1,2,0,0): the dimension stays, the eigenfunction breaks."""
+    path = characters.cache_path(w)
+    payload = json.loads(path.read_text())
+    coefs = payload["coefs"]
+    i, j = term_index(payload, (0, 1, 0, 2, 1, 1)), term_index(payload, (1, 1, 1, 2, 0, 0))
+    assert coefs[i] != coefs[j]
+    coefs[i], coefs[j] = coefs[j], coefs[i]
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def test_an_owed_proof_that_fails_names_its_entry_and_nothing_is_computed(
+        warm_scaleup, capsys, term_index):
+    # the peel reaches the missing LATER after the swapped hit: it pays the owed
+    # proof first, which fails with the message of a lookup that proves at once
+    cache, _ = warm_scaleup
+    path = _sigma_swap_entry(SWAPPED, term_index)
+    characters.cache_path(LATER).unlink()
+    entries = sorted(cache.iterdir())
+    assert main(["tensor", "1,1,1,1,1,1", "0,0,0,1,0,0", "--json"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        f"error: invalid cache entry {path}: character of (1, 1, 1, 0, 1, 4) is not an "
+        "eigenfunction: (Delta - eps) chi has residual -144 at exponent (0, 1, 0, 2, 1, 1)\n")
+    assert sorted(cache.iterdir()) == entries  # LATER was not computed, nothing was stored
+    assert SWAPPED not in characters._MEMORY
+
+
+def test_an_owed_proof_is_named_before_a_later_corrupt_hit(warm_scaleup, term_index):
+    path = _sigma_swap_entry(SWAPPED, term_index)
+    later = characters.cache_path(LATER)
+    payload = json.loads(later.read_text())
+    payload["coefs"][term_index(payload, LATER)] = 2
+    later.write_text(json.dumps(payload))
+    with pytest.raises(CacheCorruptError, match="^" + re.escape(
+            f"invalid cache entry {path}: character of {SWAPPED} is not an eigenfunction")):
+        tensor_decompose(*SCALEUP)
+    assert SWAPPED not in characters._MEMORY and LATER not in characters._MEMORY
+    # alone, the later entry is named for its own fault
+    with pytest.raises(CacheCorruptError, match=re.escape(f"character of {LATER} is not monic")):
+        characters.character(LATER)
+
+
+def test_a_hit_inherits_an_owed_proof_only_as_its_exact_sigma_image(warm_scaleup, term_index):
+    # the peel reaches SWAPPED before its mate; the swapped mate is not sigma
+    # of the owed SWAPPED, so it owes a residual of its own, which fails
+    mate = lattice.conjugate(SWAPPED)
+    candidates = lattice.dominant_weights_below(tuple(map(sum, zip(*SCALEUP))))
+    assert candidates.index(SWAPPED) < candidates.index(mate)
+    path = _sigma_swap_entry(mate, term_index)
+    with pytest.raises(CacheCorruptError, match="^" + re.escape(
+            f"invalid cache entry {path}: character of {mate} is not an eigenfunction")):
+        tensor_decompose(*SCALEUP)
+
+
+def test_a_row_that_fails_its_check_in_the_packed_pass_is_blamed_on_the_first_entry(
+        isolated_cache, fresh_index, monkeypatch):
+    # B[6] shifted off the eigenvalue breaks the diagonal of every row with
+    # n6 >= 1; chi(2,0,0,0,0,0) = z1^2 - z3 - z6 is the first owed proof to
+    # need the row of z6, as it is the first hit a lookup proves at once
+    tensor_decompose(L(1), L(1))
+    characters.clear_memory_cache()
+    kernel = list(hamiltonian.tables())
+    j, k, same, [(off, c)] = kernel[-1]
+    kernel[-1] = (j, k, same, [(off, c + 3)])
+    monkeypatch.setattr(hamiltonian, "_TABLES", kernel)
+    with fresh_index(), pytest.raises(CacheCorruptError, match="^" + re.escape(
+            f"invalid cache entry {characters.cache_path((2, 0, 0, 0, 0, 0))}: diagonal "
+            f"coefficient of Delta z^{L(6)} disagrees with the eigenvalue formula")):
+        tensor_decompose(L(1), L(1))
+
+
+def test_a_miss_pays_the_owed_proofs_before_the_recursion_runs(warm_scaleup, monkeypatch):
+    _, series = warm_scaleup
+    characters.cache_path(LATER).unlink()
+    events, loaded = [], []
+    lookup, load = tensor.character, characters._load
+    packed, recursion = hamiltonian.residuals_vanish, characters.character_recursion
+
+    def watched_lookup(m, owed=None):
+        ch = lookup(m, owed)
+        assert owed is None or not owed.keys() & characters._MEMORY.keys()  # kept apart
+        return ch
+
+    def watched_load(m, owed=None):
+        ch = load(m, owed)
+        if ch is not None:
+            loaded.append(m)
+        return ch
+
+    def watched_packed(items):
+        events.append(("packed", len(items)))
+        return packed(items)
+
+    def watched_recursion(m):
+        assert all(w in characters._MEMORY for w in loaded)  # every hit so far is proven
+        events.append(("recursion", m))
+        return recursion(m)
+
+    monkeypatch.setattr(tensor, "character", watched_lookup)
+    monkeypatch.setattr(characters, "_load", watched_load)
+    monkeypatch.setattr(hamiltonian, "residuals_vanish", watched_packed)
+    monkeypatch.setattr(characters, "character_recursion", watched_recursion)
+    assert tensor_decompose(*SCALEUP) == series
+    assert [kind for kind, _ in events] == ["packed", "recursion", "packed"]
+    assert events[1] == ("recursion", LATER) and characters.cache_path(LATER).is_file()
+    assert len(loaded) == 342 and all(w in characters._MEMORY for w in loaded)
