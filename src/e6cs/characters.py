@@ -2,10 +2,15 @@
 
 Two independent routes compute the same polynomial: a coefficient recursion
 descending the weight lattice from the leading monomial, and an annihilator
-product that projects the leading monomial onto the eigenspace.  `character`
-computes with the recursion; the annihilator is the second route that
-`verify` and the tests check the recursion against.  A persistent
-one-file-per-weight cache makes repeated products cheap across processes.
+product that projects the leading monomial onto the eigenspace.  On the span
+of the monomials below z^m the operator is diagonal in the characters, so the
+projector needs each distinct eigenvalue below m once, as the minimal
+polynomial does: the annihilator applies one factor per distinct eigenvalue,
+and a repeated factor, which would only rescale the survivor before its monic
+rescale, is skipped.  `character` computes with the recursion; the
+annihilator is the second route that `verify` and the tests check the
+recursion against.  A persistent one-file-per-weight cache makes repeated
+products cheap across processes.
 """
 
 from __future__ import annotations
@@ -81,19 +86,35 @@ def character_recursion(m) -> Character:
 
 def character_annihilator(m) -> Character:
     """Annihilator product: kill every lower candidate eigenspace inside
-    z^m, then rescale the survivor to a monic leading term."""
+    z^m, then rescale the survivor to a monic leading term.
+
+    z^m is chi_m plus a combination of the characters of the dominant
+    weights below m, and 3*Delta - eps3 scales each character by its
+    eigenvalue gap, so one factor per distinct eigenvalue below m leaves a
+    multiple of chi_m alone.  A factor whose eigenvalue was already applied
+    would only rescale that multiple, which the monic rescale undoes, so it
+    is skipped.  A lower weight with the eigenvalue of m kills the leading
+    term, and the product is refused.  The product runs on exponent ids."""
     m = lattice._check_dominant(m)
-    poly: dict[Exponent, int] = {m: 1}
+    index = hamiltonian.exponent_index()
+    top = index.id(m)
+    poly: dict[int, int] = {top: 1}
+    applied: set[int] = set()
     for mu in lattice.dominant_weights_below(m):
         if mu == m:
             continue
-        nxt = hamiltonian.shifted_image_x3(poly, hamiltonian.eigenvalue_x3(mu))
-        poly = {e: c for e, c in nxt.items() if c}
-    lead = poly.get(m, 0)
+        eps3 = hamiltonian.eigenvalue_x3(mu)
+        if eps3 in applied:
+            continue
+        applied.add(eps3)
+        nxt = hamiltonian._shifted_image_ids(poly, eps3)
+        poly = {i: c for i, c in nxt.items() if c}
+    lead = poly.get(top, 0)
     if not lead:
         raise DegenerateScaleError(
             f"annihilator product destroyed the leading monomial of {m}")
-    return Character(m, SparsePolynomial({e: Fraction(c, lead) for e, c in poly.items()}),
+    exps = index.exps
+    return Character(m, SparsePolynomial({exps[i]: Fraction(c, lead) for i, c in poly.items()}),
                      "annihilator")
 
 

@@ -34,9 +34,13 @@ as a tuple of target ids and a tuple of integer coefficients.  The row is
 built once from the kernel, with a check that its diagonal coefficient is
 the eigenvalue.  The hot loops (the character recursion, the eigenfunction
 check and the annihilator) run over ids and map back to exponents at the
-end; image_x3 is the exponent-keyed view of one row.  residuals_vanish proves
-the eigenfunction identity of up to 16 polynomials in one pass over the rows,
-their coefficients packed as the digits of one integer per exponent.
+end.  The annihilator and the one-pass eigenfunction check share one sparse
+scatter of (3*Delta - eps3), _shifted_image_ids; shifted_image_x3 is its
+exponent-keyed view, and image_x3 that of one row.  residuals_vanish proves
+the eigenfunction identity of up to 64 polynomials in one pass over the
+rows, their coefficients packed as the balanced 32-bit digits of one integer
+per exponent; a polynomial whose residual bound is not below 2**31 takes a
+pass of its own.
 """
 
 from __future__ import annotations
@@ -248,20 +252,25 @@ def image_x3(exp: Sequence[int]) -> dict[Exponent, int]:
     return {exps[t]: c for t, c in zip(targets, coefs)}
 
 
-def shifted_image_x3(terms: dict[Exponent, Coef], eps3: int) -> dict[Exponent, Coef]:
-    """(3*Delta - eps3) applied to the polynomial with these terms, as a map
-    of exponent -> coefficient that may hold zeros."""
-    index = _INDEX
-    acc: dict[int, Coef] = {}
-    images = []
-    for e, c in terms.items():
-        i = index.id(e)
-        acc[i] = -eps3 * c
-        images.append((c, index.row(i)))
+def _shifted_image_ids(poly: dict[int, Coef], eps3: int) -> dict[int, Coef]:
+    """(3*Delta - eps3) applied to the polynomial with these terms by exponent
+    id, as a map of id -> coefficient that may hold zeros: the operator's one
+    sparse scatter.  Every term's row is built before any is applied."""
+    row = _INDEX.row
+    images = [(c, row(i)) for i, c in poly.items()]
+    acc = {i: -eps3 * c for i, c in poly.items()}
     get = acc.get
     for c, (targets, coefs) in images:
         for t, k3 in zip(targets, coefs):
             acc[t] = get(t, 0) + c * k3
+    return acc
+
+
+def shifted_image_x3(terms: dict[Exponent, Coef], eps3: int) -> dict[Exponent, Coef]:
+    """(3*Delta - eps3) applied to the polynomial with these terms, as a map
+    of exponent -> coefficient that may hold zeros."""
+    index = _INDEX
+    acc = _shifted_image_ids({index.id(e): c for e, c in terms.items()}, eps3)
     exps = index.exps
     return {exps[i]: r for i, r in acc.items()}
 
@@ -272,8 +281,11 @@ def apply_delta(p: SparsePolynomial) -> SparsePolynomial:
     return _wrap({e: _norm(v * third) for e, v in shifted_image_x3(p.terms, 0).items() if v})
 
 
-_CHUNK = 16  # polynomials packed into the digits of one integer per exponent
-_HALF = 1 << 63  # a digit lies in (-_HALF, _HALF) and is stored plus _HALF
+_CHUNK = 64  # polynomials packed into the digits of one integer per exponent
+_HALF = 1 << 31  # a digit lies in (-_HALF, _HALF) and is stored plus _HALF
+# the memoryview format of a 4-byte unsigned int, chosen by its size, which
+# the C compiler fixes, not by its name
+_DIGIT = next(code for code in "IL" if memoryview(bytes(8)).cast(code).itemsize == 4)
 
 
 def residuals_vanish(items: Sequence[tuple[dict[Exponent, int], int]]) -> bool:
@@ -282,41 +294,47 @@ def residuals_vanish(items: Sequence[tuple[dict[Exponent, int], int]]) -> bool:
     reached _CHUNK polynomials at a time.
 
     In a chunk, the coefficients of its polynomials under one exponent are
-    the balanced base-2**64 digits of one int, and their eps3 multiples those
+    the balanced base-2**32 digits of one int, and their eps3 multiples those
     of another, so each row is scattered once, as big-integer multiply-adds,
     for the whole chunk.  Sums and integer multiples act digit by digit, so
     the packed residual under each exponent has the polynomials' residuals
-    there as its digits, and an int whose digits all lie in (-2**63, 2**63)
-    is 0 only if every digit is.  The chunk first checks sum |c| * (largest
-    row abs sum + |eps3| + 1) < 2**63 for each polynomial, which bounds every
-    coefficient, eps3 multiple and residual by that; a chunk over it goes
-    through shifted_image_x3 one polynomial at a time."""
-    return all(_packed_residuals_vanish(items[start:start + _CHUNK])
-               for start in range(0, len(items), _CHUNK))
-
-
-def _packed_residuals_vanish(chunk: Sequence[tuple[dict[Exponent, int], int]]) -> bool:
-    index, n, half, byteorder = _INDEX, len(chunk), _HALF, sys.byteorder
-    exps: dict[Exponent, None] = {}  # every exponent of the chunk, once
-    for terms, _ in chunk:
+    there as its digits, and an int whose digits all lie in (-2**31, 2**31)
+    is 0 only if every digit is.  Each polynomial is packed only when sum |c|
+    * (largest row abs sum over all the items' exponents + |eps3| + 1) <
+    2**31, which bounds its coefficients, eps3 multiples and residuals by
+    that; any other is proven alone by shifted_image_x3.  The exponents,
+    their rows and the largest row sum are gathered once for all the items."""
+    index = _INDEX
+    exps: dict[Exponent, None] = {}  # every exponent of the items, once
+    for terms, _ in items:
         exps.update(dict.fromkeys(terms))
     ids = list(map(index.id, exps))
     rows = list(map(index.row, ids))
     widest = max((sum(map(abs, coefs)) for _, coefs in rows), default=0)
-    if any(sum(map(abs, terms.values())) * (widest + abs(eps3) + 1) >= half
-           for terms, eps3 in chunk):
-        return not any(any(shifted_image_x3(terms, eps3).values()) for terms, eps3 in chunk)
-    # digit k under the p-th exponent of exps is item n * p + k of a buffer,
+    packed, alone = [], []
+    for terms, eps3 in items:
+        fits = sum(map(abs, terms.values())) * (widest + abs(eps3) + 1) < _HALF
+        (packed if fits else alone).append((terms, eps3))
+    column = dict(zip(exps, range(len(ids))))
+    return (all(_packed_residuals_vanish(packed[start:start + _CHUNK], column, ids, rows)
+                for start in range(0, len(packed), _CHUNK))
+            and not any(any(shifted_image_x3(terms, eps3).values()) for terms, eps3 in alone))
+
+
+def _packed_residuals_vanish(chunk: Sequence[tuple[dict[Exponent, int], int]],
+                             column: dict[Exponent, int], ids: list[int],
+                             rows: list[Row]) -> bool:
+    n, half, byteorder = len(chunk), _HALF, sys.byteorder
+    # digit k under the exponent in column p is item n * p + k of a buffer,
     # stored plus half; every digit starts at 0
-    zero = half.to_bytes(8, byteorder) * n
+    zero = half.to_bytes(4, byteorder) * n
     coefs_buf, eps_buf = bytearray(zero) * len(ids), bytearray(zero) * len(ids)
-    coefs_q, eps_q = memoryview(coefs_buf).cast("Q"), memoryview(eps_buf).cast("Q")
-    slot = dict(zip(exps, range(0, n * len(ids), n)))
+    coefs_d, eps_d = memoryview(coefs_buf).cast(_DIGIT), memoryview(eps_buf).cast(_DIGIT)
     for k, (terms, eps3) in enumerate(chunk):
-        for at, c in zip(map(slot.__getitem__, terms), terms.values()):
-            coefs_q[at + k] = c + half
-            eps_q[at + k] = eps3 * c + half
-    offset, from_bytes, size = int.from_bytes(zero, byteorder), int.from_bytes, 8 * n
+        for p, c in zip(map(column.__getitem__, terms), terms.values()):
+            coefs_d[n * p + k] = c + half
+            eps_d[n * p + k] = eps3 * c + half
+    offset, from_bytes, size = int.from_bytes(zero, byteorder), int.from_bytes, 4 * n
     acc: dict[int, int] = {}
     get = acc.get
     for at, i, (targets, coefs) in zip(range(0, size * len(ids), size), ids, rows):

@@ -63,14 +63,32 @@ def test_third_order_character_from_reference_data():
 
 
 def test_methods_agree_on_sample():
-    for w in [(0, 1, 1, 0, 0, 0), (1, 0, 0, 1, 0, 0), (0, 0, 2, 0, 0, 0), (2, 0, 0, 0, 0, 2)]:
-        assert character_recursion(w).poly == character_annihilator(w).poly
+    for w in [(0, 1, 1, 0, 0, 0), (1, 0, 0, 1, 0, 0), (0, 0, 2, 0, 0, 0), (2, 0, 0, 0, 0, 2),
+              (1, 0, 0, 0, 0, 3), (1, 1, 0, 0, 0, 2)]:
+        assert character_recursion(w).poly == character_annihilator(w).poly, w
 
 
 def test_methods_agree_up_to_degree_three():
     for w in product(range(4), repeat=6):
         if sum(w) <= 3:
             assert character_recursion(w).poly == character_annihilator(w).poly, w
+
+
+def test_annihilator_applies_one_factor_per_distinct_eigenvalue(monkeypatch):
+    # 86 dominant weights lie below (0,0,0,3,0,0), with 38 distinct eigenvalues
+    w = (0, 0, 0, 3, 0, 0)
+    below = [mu for mu in lattice.dominant_weights_below(w) if mu != w]
+    assert (len(below), len({hamiltonian.eigenvalue_x3(mu) for mu in below})) == (86, 38)
+    factors = []
+    scatter = hamiltonian._shifted_image_ids
+
+    def counted(poly, eps3):
+        factors.append(eps3)
+        return scatter(poly, eps3)
+
+    monkeypatch.setattr(hamiltonian, "_shifted_image_ids", counted)
+    assert character_annihilator(w).poly == golden.characters_degree3()[w]
+    assert len(factors) == len(set(factors)) == 38
 
 
 def test_character_invariants_sampled():

@@ -289,8 +289,8 @@ def _sigma_swapped(terms):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_packed_residuals_agree_with_one_pass_each(data):
-    # up to 40 characters span three chunks; a mutated member breaks its chunk
-    weights = data.draw(st.lists(st.sampled_from(DEGREE_4), max_size=40))
+    # up to 70 characters span two chunks; a mutated member breaks its chunk
+    weights = data.draw(st.lists(st.sampled_from(DEGREE_4), max_size=70))
     items = [_eigenpair(w) for w in weights]
     if items:
         for k in data.draw(st.sets(st.integers(0, len(items) - 1), max_size=3)):
@@ -303,37 +303,74 @@ def test_packed_residuals_agree_with_one_pass_each(data):
     assert hamiltonian.residuals_vanish(items) is _one_pass_each(items)
 
 
-def test_packed_residuals_at_the_chunk_edge():
-    assert hamiltonian._CHUNK == 16
-    items = [_eigenpair(w) for w in DEGREE_4 if sum(w) == 3][:17]
+@pytest.fixture
+def packed_calls(monkeypatch):
+    """The size of each packed chunk, and the eps3 of each polynomial proven
+    alone by shifted_image_x3, in the order they run."""
+    chunks, passes = [], []
+    packed, one_pass = hamiltonian._packed_residuals_vanish, hamiltonian.shifted_image_x3
+
+    def counted_packed(chunk, *rest):
+        chunks.append(len(chunk))
+        return packed(chunk, *rest)
+
+    monkeypatch.setattr(hamiltonian, "_packed_residuals_vanish", counted_packed)
+    monkeypatch.setattr(hamiltonian, "shifted_image_x3",
+                        lambda terms, eps3: passes.append(eps3) or one_pass(terms, eps3))
+    return chunks, passes
+
+
+def _scaled(item, shift):
+    terms, eps3 = item
+    return {e: c << shift for e, c in terms.items()}, eps3
+
+
+def test_packed_residuals_at_the_chunk_edge(packed_calls):
+    chunks, passes = packed_calls
+    assert hamiltonian._CHUNK == 64
+    items = [_eigenpair(w) for w in DEGREE_4 if 2 <= sum(w) <= 3][:65]
     terms, eps3 = items[-1]
     broken = (_sigma_swapped(terms) or _bumped(terms, next(iter(terms))), eps3)
-    for size in (16, 17):
+    for size, shape in ((64, [64]), (65, [64, 1])):
+        chunks.clear()
         assert hamiltonian.residuals_vanish(items[:size]) is True
+        assert chunks == shape
         # the last member alone is wrong: the last chunk, or the only one
         assert hamiltonian.residuals_vanish(items[:size - 1] + [broken]) is False
         assert hamiltonian.residuals_vanish([broken] + items[1:size]) is False
+    assert passes == []
     assert hamiltonian.residuals_vanish([]) is True
 
 
-def test_packed_residuals_over_the_digit_bound_take_one_pass_each(monkeypatch):
-    # 2**70 times a character is an eigenfunction whose coefficients cannot
-    # be digits below 2**63: its whole chunk is proven one polynomial at a time
+def test_packed_residuals_over_the_digit_bound_take_one_pass_each(packed_calls):
+    # 2**31 times a character is an eigenfunction whose coefficients cannot
+    # be digits below 2**31: it alone is proven by one pass
+    chunks, passes = packed_calls
     terms, eps3 = _eigenpair((0, 1, 0, 0, 1, 0))
-    big = {e: c << 70 for e, c in terms.items()}
+    big = {e: c << 31 for e, c in terms.items()}
     small = _eigenpair((1, 0, 0, 0, 0, 1))
-    passes = []
-    one_pass = hamiltonian.shifted_image_x3
-    monkeypatch.setattr(hamiltonian, "shifted_image_x3",
-                        lambda terms, eps3: passes.append(eps3) or one_pass(terms, eps3))
     assert hamiltonian.residuals_vanish([small, (big, eps3)]) is True
-    assert passes == [small[1], eps3]
+    assert (chunks, passes) == ([1], [eps3])
     e = next(e for e in big if e != (0, 1, 0, 0, 1, 0))
     assert hamiltonian.residuals_vanish([small, (_bumped(big, e), eps3)]) is False
     # the packed pass alone, with no fallback, for the same characters
     passes.clear()
     assert hamiltonian.residuals_vanish([small, (terms, eps3)]) is True
     assert passes == []
+
+
+def test_packed_residuals_of_packed_and_one_pass_members_in_one_payment(packed_calls):
+    # members under the digit bound and over it, interleaved in one payment:
+    # each kind is proven its own way, and a fault in any member is found
+    chunks, passes = packed_calls
+    pairs = [_eigenpair(w) for w in [(1, 1, 0, 0, 0, 0), (2, 0, 0, 0, 0, 1),
+                                     (0, 2, 0, 0, 0, 0), (1, 0, 1, 0, 0, 0)]]
+    items = [pairs[0], _scaled(pairs[1], 31), _scaled(pairs[2], 70), pairs[3]]
+    assert hamiltonian.residuals_vanish(items) is True
+    assert (chunks, passes) == ([2], [pairs[1][1], pairs[2][1]])
+    for k, (terms, eps3) in enumerate(items):
+        broken = items[:k] + [(_bumped(terms, next(iter(terms))), eps3)] + items[k + 1:]
+        assert hamiltonian.residuals_vanish(broken) is _one_pass_each(broken) is False
 
 
 def test_packed_residuals_on_an_empty_index(fresh_index):
