@@ -195,9 +195,9 @@ def pay_owed(owed: Owed, keep: bool = True) -> None:
     there together in hamiltonian.residuals_vanish.  If one fails, or a row
     of the operator fails its check there, each runs again alone, in load
     order, through _check_residual, so the first corrupt entry is named with
-    the CacheCorruptError of a lookup that proves its hit at once.  With keep, every owed character then enters _MEMORY; a peel that
-    is already failing passes keep=False, only to name an earlier corrupt
-    entry first."""
+    the CacheCorruptError of a lookup that proves its hit at once.  With
+    keep, every owed character then enters _MEMORY; a peel that is already
+    failing passes keep=False, only to name an earlier corrupt entry first."""
     proven = list(owed.values())
     owed.clear()
     due = [(ch, eps3) for ch, eps3 in proven if eps3 is not None]

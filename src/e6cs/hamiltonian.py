@@ -38,15 +38,14 @@ end.  The annihilator and the one-pass eigenfunction check share one sparse
 scatter of (3*Delta - eps3), _shifted_image_ids; shifted_image_x3 is its
 exponent-keyed view, and image_x3 that of one row.  residuals_vanish proves
 the eigenfunction identity of up to 64 polynomials in one pass over the
-rows, their coefficients packed as the balanced 32-bit digits of one integer
-per exponent; a polynomial whose residual bound is not below 2**31 takes a
-pass of its own.
+rows, their coefficients packed as the digits of one integer per exponent,
+each digit as wide as the largest residual bound of the payment needs, so
+every polynomial is packed, whatever its size.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from fractions import Fraction
 from importlib import resources
 from typing import Sequence, Union
@@ -254,8 +253,10 @@ def image_x3(exp: Sequence[int]) -> dict[Exponent, int]:
 
 def _shifted_image_ids(poly: dict[int, Coef], eps3: int) -> dict[int, Coef]:
     """(3*Delta - eps3) applied to the polynomial with these terms by exponent
-    id, as a map of id -> coefficient that may hold zeros: the operator's one
-    sparse scatter.  Every term's row is built before any is applied."""
+    id, as a map of id -> coefficient that may hold zeros.  Every term's row
+    is built before any is applied.  The packed pass of residuals_vanish keeps
+    a row loop of its own, which builds no map of its packed ints and so
+    holds less memory at its peak."""
     row = _INDEX.row
     images = [(c, row(i)) for i, c in poly.items()]
     acc = {i: -eps3 * c for i, c in poly.items()}
@@ -282,10 +283,6 @@ def apply_delta(p: SparsePolynomial) -> SparsePolynomial:
 
 
 _CHUNK = 64  # polynomials packed into the digits of one integer per exponent
-_HALF = 1 << 31  # a digit lies in (-_HALF, _HALF) and is stored plus _HALF
-# the memoryview format of a 4-byte unsigned int, chosen by its size, which
-# the C compiler fixes, not by its name
-_DIGIT = next(code for code in "IL" if memoryview(bytes(8)).cast(code).itemsize == 4)
 
 
 def residuals_vanish(items: Sequence[tuple[dict[Exponent, int], int]]) -> bool:
@@ -293,17 +290,18 @@ def residuals_vanish(items: Sequence[tuple[dict[Exponent, int], int]]) -> bool:
     p having integer coefficients: the verdict of shifted_image_x3 on each,
     reached _CHUNK polynomials at a time.
 
-    In a chunk, the coefficients of its polynomials under one exponent are
-    the balanced base-2**32 digits of one int, and their eps3 multiples those
-    of another, so each row is scattered once, as big-integer multiply-adds,
-    for the whole chunk.  Sums and integer multiples act digit by digit, so
-    the packed residual under each exponent has the polynomials' residuals
-    there as its digits, and an int whose digits all lie in (-2**31, 2**31)
-    is 0 only if every digit is.  Each polynomial is packed only when sum |c|
-    * (largest row abs sum over all the items' exponents + |eps3| + 1) <
-    2**31, which bounds its coefficients, eps3 multiples and residuals by
-    that; any other is proven alone by shifted_image_x3.  The exponents,
-    their rows and the largest row sum are gathered once for all the items."""
+    In a chunk, polynomial k's coefficient under one exponent is digit k, of
+    width bits, of one int, and its eps3 multiple that of another, so each
+    row is scattered once, as big-integer multiply-adds, for the whole chunk.
+    The residual is linear in the polynomial, so the packed residual under
+    each exponent is the sum of r_k * 2**(width * k) over the chunk's
+    residuals r_k there.  The width is the bit length of the largest bound
+    sum |c| * (widest + |eps3| + 1) over the items, widest being the largest
+    row abs sum over all the items' exponents; each |r_k| is below that
+    bound, so below 2**width.  Then the sum is 0 only if every r_k is: the
+    lowest nonzero r_j would survive modulo 2**(width * (j + 1)).  The
+    exponents, their rows, the width and the largest row sum are worked out
+    once for all the items."""
     index = _INDEX
     exps: dict[Exponent, None] = {}  # every exponent of the items, once
     for terms, _ in items:
@@ -311,36 +309,32 @@ def residuals_vanish(items: Sequence[tuple[dict[Exponent, int], int]]) -> bool:
     ids = list(map(index.id, exps))
     rows = list(map(index.row, ids))
     widest = max((sum(map(abs, coefs)) for _, coefs in rows), default=0)
-    packed, alone = [], []
-    for terms, eps3 in items:
-        fits = sum(map(abs, terms.values())) * (widest + abs(eps3) + 1) < _HALF
-        (packed if fits else alone).append((terms, eps3))
+    width = max((sum(map(abs, terms.values())) * (widest + abs(eps3) + 1)
+                 for terms, eps3 in items), default=0).bit_length()
     column = dict(zip(exps, range(len(ids))))
-    return (all(_packed_residuals_vanish(packed[start:start + _CHUNK], column, ids, rows)
-                for start in range(0, len(packed), _CHUNK))
-            and not any(any(shifted_image_x3(terms, eps3).values()) for terms, eps3 in alone))
+    return all(_packed_residuals_vanish(items[start:start + _CHUNK], width, column, ids, rows)
+               for start in range(0, len(items), _CHUNK))
 
 
-def _packed_residuals_vanish(chunk: Sequence[tuple[dict[Exponent, int], int]],
+def _packed_residuals_vanish(chunk: Sequence[tuple[dict[Exponent, int], int]], width: int,
                              column: dict[Exponent, int], ids: list[int],
                              rows: list[Row]) -> bool:
-    n, half, byteorder = len(chunk), _HALF, sys.byteorder
-    # digit k under the exponent in column p is item n * p + k of a buffer,
-    # stored plus half; every digit starts at 0
-    zero = half.to_bytes(4, byteorder) * n
-    coefs_buf, eps_buf = bytearray(zero) * len(ids), bytearray(zero) * len(ids)
-    coefs_d, eps_d = memoryview(coefs_buf).cast(_DIGIT), memoryview(eps_buf).cast(_DIGIT)
-    for k, (terms, eps3) in enumerate(chunk):
+    # the packed coefficients and eps3 multiples under the exponent in column p
+    packed_coefs, packed_eps = [0] * len(ids), [0] * len(ids)
+    # the highest digit first, so each int is allocated at nearly its full
+    # size once instead of growing through every size on the way up, which
+    # raised peak memory
+    for k in reversed(range(len(chunk))):
+        terms, eps3 = chunk[k]
+        shift = width * k
         for p, c in zip(map(column.__getitem__, terms), terms.values()):
-            coefs_d[n * p + k] = c + half
-            eps_d[n * p + k] = eps3 * c + half
-    offset, from_bytes, size = int.from_bytes(zero, byteorder), int.from_bytes, 4 * n
+            packed_coefs[p] += c << shift
+            packed_eps[p] += eps3 * c << shift
     acc: dict[int, int] = {}
     get = acc.get
-    for at, i, (targets, coefs) in zip(range(0, size * len(ids), size), ids, rows):
+    for i, packed, eps, (targets, coefs) in zip(ids, packed_coefs, packed_eps, rows):
         # -eps3 times each polynomial's term here, then the term's row under 3*Delta
-        acc[i] = get(i, 0) + offset - from_bytes(eps_buf[at:at + size], byteorder)
-        packed = from_bytes(coefs_buf[at:at + size], byteorder) - offset
+        acc[i] = get(i, 0) - eps
         for t, k3 in zip(targets, coefs):
             acc[t] = get(t, 0) + packed * k3
     return not any(acc.values())

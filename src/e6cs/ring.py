@@ -158,17 +158,7 @@ class SparsePolynomial:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    # -- calculus and structure maps -----------------------------------------
-    def partial_derivative(self, j: int) -> "SparsePolynomial":
-        """Formal derivative with respect to z_j, 1-based."""
-        i = fundamental_weight(j).index(1)
-        out: dict[Exponent, Coef] = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                de = e[:i] + (e[i] - 1,) + e[i + 1:]
-                out[de] = _norm(out.get(de, 0) + c * e[i])
-        return _wrap({e: c for e, c in out.items() if c})
-
+    # -- structure maps ------------------------------------------------------
     def conjugate_variables(self) -> "SparsePolynomial":
         """Swap variables 1<->6 and 3<->5 in every exponent: the diagram
         symmetry lattice.conjugate, which the operator commutes with."""
@@ -359,6 +349,8 @@ def parse_polynomial(text: str) -> SparsePolynomial:
             return SparsePolynomial.variable(int(tok[1]))
         if tok[:1].isdigit():
             return SparsePolynomial.constant(_literal(tok))
+        if not tok:
+            raise PolynomialSyntaxError("unexpected end of input")
         raise PolynomialSyntaxError(f"unexpected token {tok!r}")
 
     try:

@@ -227,6 +227,14 @@ def test_numbers_over_the_digit_limit_are_refused_in_one_message(capsys, argv, e
     assert capsys.readouterr().err.splitlines()[-1] == error
 
 
+@pytest.mark.parametrize("expression", ["", "z1 +", "+"])
+def test_delta_names_the_end_of_input(capsys, expression):
+    with pytest.raises(SystemExit) as err:
+        main(["delta", expression])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "e6cs: error: unexpected end of input"
+
+
 def test_delta_over_its_budget_exits_1(capsys):
     code, out, err = run(capsys, "delta", "(z1 + z2 + z3 + z4 + z5 + z6)^10")
     assert (code, out) == (1, "")
@@ -287,17 +295,41 @@ def test_verify_roots_suite(capsys):
     assert "checks passed" in out
 
 
+# The lines of each suite of `verify --suite=all`, by their own digest, cold
+# and warm; only dims differs warm, as it sweeps the stored entries.
+SUITE_DIGESTS = {
+    "appendix-a": "5676100804aa53e03e1f4b0ebfed44935b40164334b6ba0a73bfcf0397f01cf0",
+    "appendix-b": "ccd96aa9f5155a89fde5d8ef310d34ca5d5a2c88c25671d7bf1aba8674662705",
+    "dims": ("88815e65f3238ac0b239cf43994841bc7ec9fe73da4e892cfb6a9a8224b7f13a",
+             "8f59b10f7c5c33ce7b019592edac5ba7a34f9324f693b369656cc2b481b942e8"),
+    "duality": "fcf28e809a27defd6383bf952db9af7922f06e8d3c0e607275da7376dbf7119c",
+    "quadratic": "aba74b387a12b0b3a8e83db181b0cb9db516172501f1203c5ddcf6a51e37f93c",
+    "roots": "4355a103ffa31dea6da01d4ec24fd44f9334e0697cece35c62132a59a95264db",
+    "tables": "dfd5333568ee7aaa66f8185f4ade74e885d361176b7230a3617bc747c65ddacb",
+}
+
+
 def test_verify_all_output_is_pinned(capsys, isolated_cache):
     # cold: the stdout the benchmark's correctness gate holds every run to;
     # warm, on the same cache with the memory tier emptied as in a new
-    # process: the dims suite sweeps the 190 stored entries
-    for last, digest in [
-            ("474/474", "99b3ce07bf2cd2c1c20487f1363cdbd23352d16ecd05dcb8e9502fd9921bc460"),
-            ("475/475", "29cad49969526610820fa94bab730448aa2c1631d397efedf7f1a24b31090890")]:
+    # process: the dims suite sweeps the 190 stored entries.  The output is
+    # each suite's block of [name] lines, in sorted suite order, then the
+    # summary line.
+    for warm, last in [(0, "474/474"), (1, "475/475")]:
         code, out, _ = run(capsys, "verify", "--suite=all")
         assert code == 0
-        assert out.splitlines()[-1] == f"{last} checks passed"
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        *lines, summary = out.splitlines()
+        assert summary == f"{last} checks passed"
+        blocks: dict[str, list[str]] = {}
+        for line in lines:
+            blocks.setdefault(line.split()[1].strip("[]"), []).append(line)
+        assert list(blocks) == sorted(SUITE_DIGESTS)
+        assert out == "".join(f"{line}\n" for block in blocks.values() for line in block) \
+            + f"{summary}\n"
+        for name, block in blocks.items():
+            pin = SUITE_DIGESTS[name]
+            digest = hashlib.sha256("".join(f"{line}\n" for line in block).encode()).hexdigest()
+            assert digest == (pin[warm] if name == "dims" else pin), name
         characters.clear_memory_cache()
 
 

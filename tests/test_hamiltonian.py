@@ -116,16 +116,23 @@ def _record_polynomials():
             for r in _table_records()}
 
 
+def _derivative(p, j):
+    """d/dz_j of p, j 1-based: each term's exponent e maps to its own e - 1_j."""
+    i = j - 1
+    return SparsePolynomial({e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                             for e, c in p.terms.items() if e[i]})
+
+
 def _operator_x3(p):
     """3 * (sum over ordered j, k of A[j,k] d_j d_k + sum_j B[j] d_j) p, built
-    with the ring's own calculus, independently of the kernel layout."""
+    with the ring's own arithmetic, independently of the kernel layout."""
     coef = _record_polynomials()
     total = SparsePolynomial.zero()
     for j in range(1, 7):
-        dj = p.partial_derivative(j)
+        dj = _derivative(p, j)
         total = total + coef["b", (j,)] * dj
         for k in range(1, 7):
-            total = total + coef["a", (min(j, k), max(j, k))] * dj.partial_derivative(k)
+            total = total + coef["a", (min(j, k), max(j, k))] * _derivative(dj, k)
     return total.scaled(3)
 
 
@@ -289,9 +296,11 @@ def _sigma_swapped(terms):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_packed_residuals_agree_with_one_pass_each(data):
-    # up to 70 characters span two chunks; a mutated member breaks its chunk
+    # up to 70 characters span two chunks; scaled by 2**0, 2**31 or 2**70,
+    # members of very different sizes share one payment and its digit width;
+    # a mutated member, small or large, breaks its chunk
     weights = data.draw(st.lists(st.sampled_from(DEGREE_4), max_size=70))
-    items = [_eigenpair(w) for w in weights]
+    items = [_scaled(_eigenpair(w), data.draw(st.sampled_from([0, 31, 70]))) for w in weights]
     if items:
         for k in data.draw(st.sets(st.integers(0, len(items) - 1), max_size=3)):
             terms, eps3 = items[k]
@@ -342,15 +351,16 @@ def test_packed_residuals_at_the_chunk_edge(packed_calls):
     assert hamiltonian.residuals_vanish([]) is True
 
 
-def test_packed_residuals_over_the_digit_bound_take_one_pass_each(packed_calls):
-    # 2**31 times a character is an eigenfunction whose coefficients cannot
-    # be digits below 2**31: it alone is proven by one pass
+def test_packed_residuals_of_a_member_with_coefficients_over_2_31(packed_calls):
+    # 2**31 times a character is an eigenfunction whose coefficients need
+    # digits wider than 32 bits: the payment's width grows, and it is packed
+    # with the small member in one chunk
     chunks, passes = packed_calls
     terms, eps3 = _eigenpair((0, 1, 0, 0, 1, 0))
     big = {e: c << 31 for e, c in terms.items()}
     small = _eigenpair((1, 0, 0, 0, 0, 1))
     assert hamiltonian.residuals_vanish([small, (big, eps3)]) is True
-    assert (chunks, passes) == ([1], [eps3])
+    assert (chunks, passes) == ([2], [])
     e = next(e for e in big if e != (0, 1, 0, 0, 1, 0))
     assert hamiltonian.residuals_vanish([small, (_bumped(big, e), eps3)]) is False
     # the packed pass alone, with no fallback, for the same characters
@@ -359,18 +369,29 @@ def test_packed_residuals_over_the_digit_bound_take_one_pass_each(packed_calls):
     assert passes == []
 
 
-def test_packed_residuals_of_packed_and_one_pass_members_in_one_payment(packed_calls):
-    # members under the digit bound and over it, interleaved in one payment:
-    # each kind is proven its own way, and a fault in any member is found
+def test_packed_residuals_of_small_and_large_members_in_one_payment(packed_calls):
+    # members of 2**0, 2**31 and 2**70 times a character, interleaved in one
+    # payment: all are packed in one chunk, and a fault in any member is found
     chunks, passes = packed_calls
     pairs = [_eigenpair(w) for w in [(1, 1, 0, 0, 0, 0), (2, 0, 0, 0, 0, 1),
                                      (0, 2, 0, 0, 0, 0), (1, 0, 1, 0, 0, 0)]]
     items = [pairs[0], _scaled(pairs[1], 31), _scaled(pairs[2], 70), pairs[3]]
     assert hamiltonian.residuals_vanish(items) is True
-    assert (chunks, passes) == ([2], [pairs[1][1], pairs[2][1]])
+    assert (chunks, passes) == ([4], [])
     for k, (terms, eps3) in enumerate(items):
         broken = items[:k] + [(_bumped(terms, next(iter(terms))), eps3)] + items[k + 1:]
         assert hamiltonian.residuals_vanish(broken) is _one_pass_each(broken) is False
+
+
+def test_packed_residuals_do_not_cancel_across_digits():
+    # members 0 and 1 bumped at one exponent by 2**k and by -1: their
+    # residuals are 2**k * r and -r, which cancel if member 1 sits at digit
+    # width k; the width worked out from the payment exceeds every such k
+    terms, eps3 = _eigenpair((1, 0, 0, 0, 0, 1))
+    e = next(e for e in terms if e != (1, 0, 0, 0, 0, 1))
+    for k in range(1, 80):
+        items = [(_bumped(terms, e, 1 << k), eps3), (_bumped(terms, e, -1), eps3)]
+        assert hamiltonian.residuals_vanish(items) is False, k
 
 
 def test_packed_residuals_on_an_empty_index(fresh_index):

@@ -41,22 +41,13 @@ def test_product_term_count_without_cancellation():
     assert len((p * q).terms) == 9
 
 
-def test_partial_derivative_examples():
-    assert parse_polynomial("z1^3").partial_derivative(1) == parse_polynomial("3*z1^2")
-    assert parse_polynomial("z1").partial_derivative(2) == SparsePolynomial.zero()
-    assert parse_polynomial("z4^2*z6 - z4").partial_derivative(4) == parse_polynomial("2*z4*z6 - 1")
-
-
 def test_a_variable_index_is_a_fundamental_weight_index():
-    p = parse_polynomial("z1^2*z6 + z3")
     for j in range(1, 7):
         assert z(j) == SparsePolynomial.monomial(fundamental_weight(j))
     # a range test alone would pass 1.5, whose monomial is the constant 1
     for j in (0, 7, 1.5, True, -1):
         with pytest.raises(ValueError, match="index must be an int from 1 to 6"):
             SparsePolynomial.variable(j)
-        with pytest.raises(ValueError, match="index must be an int from 1 to 6"):
-            p.partial_derivative(j)
 
 
 def test_conjugate_variables():
@@ -79,12 +70,6 @@ def test_ring_axioms(p, q, r):
 def test_additive_inverse(p):
     assert p - p == SparsePolynomial.zero()
     assert p + (-p) == SparsePolynomial.zero()
-
-
-@given(polynomials, st.integers(1, 6), st.integers(1, 6))
-def test_derivatives_commute(p, j, k):
-    assert p.partial_derivative(j).partial_derivative(k) == \
-        p.partial_derivative(k).partial_derivative(j)
 
 
 @given(polynomials, polynomials)
@@ -166,8 +151,9 @@ def test_parser_rejects_bad_input():
     ("z1^1/3", "exponent must be a non-negative integer"),
     ("z1^", "exponent must be a non-negative integer"),
     ("(z1 + z2", "unbalanced parenthesis"),
-    ("z1 +", "unexpected token ''"),
-    ("", "unexpected token ''"),
+    ("z1 +", "unexpected end of input"),
+    ("", "unexpected end of input"),
+    ("+", "unexpected end of input"),
     ("2 z1", "trailing input near 'z1'"),
     ("1/3*(z1 - z2) z3", "trailing input near 'z3'"),
     ("z1 + 1/0", "zero denominator in '1/0'"),
