@@ -31,7 +31,7 @@ from .errors import (CacheCorruptError, CacheDirectoryError, DegenerateScaleErro
 from .ring import Exponent, SparsePolynomial, _wrap, coef_to_str
 
 CACHE_ENV = "E6CS_CACHE_DIR"
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 JSON_VERSION = 1  # of the `char --format json` record, not of the cache
 _TMP_SUFFIX = ".tmp"  # of an entry that _store has not yet published by its rename
 
@@ -273,12 +273,30 @@ def character_to_json(ch: Character) -> dict:
     }
 
 
+def encode_cache_entry(ch: Character) -> str:
+    """The text of ch's cache file; the inverse of decode_cache_entry.
+
+    The exponents of the terms, six per term in term order, are one
+    lowercase hex string, each exponent `width` bytes big-endian, with
+    width the fewest bytes that hold the largest, at least one; so a
+    polynomial has exactly one encoding."""
+    terms = ch.poly.terms
+    flat = [x for e in terms for x in e]
+    width = max(1, -(-max(flat, default=0).bit_length() // 8))
+    raw = bytes(flat) if width == 1 else b"".join(x.to_bytes(width, "big") for x in flat)
+    entry = {"weight": list(ch.weight), "version": CACHE_VERSION, "method": ch.method,
+             "width": width, "exps": raw.hex(), "coefs": list(terms.values())}
+    return json.dumps(entry, separators=(",", ":"))
+
+
 def decode_cache_entry(text: str) -> Character | None:
     """Rebuild the character stored in a cache file's text.
 
-    An entry is {"weight", "version", "method", "exps", "coefs"}: six
-    exponents per term in `exps`, one integer coefficient per term in `coefs`,
-    and a `method` that names one of _METHODS.
+    An entry is {"weight", "version", "method", "width", "exps", "coefs"}
+    (encode_cache_entry): `exps` holds six exponents per term as hex, each
+    `width` bytes, `coefs` one integer coefficient per term, and `method`
+    names one of _METHODS.  Only the one encoding encode_cache_entry gives is
+    read: `exps` as bytes.hex() writes it and the smallest `width`.
     Each term is keyed by the exponent index's own tuple, as the recursion
     keys its terms, so every loaded entry shares the index's one tuple per
     exponent; an exponent first seen here gets its id, its row stays lazy.
@@ -292,24 +310,36 @@ def decode_cache_entry(text: str) -> Character | None:
         raise ValueError("entry is not a JSON object")
     if obj.get("version") != CACHE_VERSION:
         return None
-    weight, exps, coefs = obj.get("weight"), obj.get("exps"), obj.get("coefs")
-    if type(weight) is not list or type(exps) is not list or type(coefs) is not list:
-        raise ValueError("weight, exps and coefs must be arrays")
-    if len(weight) != 6 or len(exps) != 6 * len(coefs):
-        raise ValueError(f"{len(weight)} labels, {len(exps)} exponents "
+    weight, width, exps, coefs = map(obj.get, ("weight", "width", "exps", "coefs"))
+    if type(weight) is not list or type(exps) is not str or type(coefs) is not list:
+        raise ValueError("weight and coefs must be arrays, exps a string")
+    if type(width) is not int or width < 1:
+        raise ValueError(f"width {width!r} is not a positive integer")
+    try:
+        raw = bytes.fromhex(exps)
+    except ValueError:
+        raw = None
+    if raw is None or raw.hex() != exps:
+        raise ValueError("exps is not a lowercase hex string of whole bytes")
+    if len(weight) != 6 or len(raw) != 6 * width * len(coefs):
+        raise ValueError(f"{len(weight)} labels, {len(raw)} exponent bytes of width {width} "
                          f"for {len(coefs)} coefficients")
-    if set(map(type, chain(weight, exps, coefs))) - {int}:
-        raise ValueError("labels, exponents and coefficients must be integers")
-    if min(weight) < 0 or min(exps, default=0) < 0:
-        raise ValueError("negative label or exponent")
+    if width > 1 and not any(raw[::width]):  # every exponent's high byte is zero
+        raise ValueError(f"width {width} is wider than the largest exponent needs")
+    if set(map(type, chain(weight, coefs))) - {int}:
+        raise ValueError("labels and coefficients must be integers")
+    if min(weight) < 0:
+        raise ValueError("negative label")
     if 0 in coefs:
         raise ValueError("zero coefficient")
     method = obj.get("method")
     if type(method) is not str or method not in _METHODS:
         raise ValueError(f"method {method!r} is not one of {', '.join(_METHODS)}")
+    if width > 1:  # bytes iterate as the exponents themselves at width 1
+        raw = [int.from_bytes(raw[i:i + width], "big") for i in range(0, len(raw), width)]
     index = hamiltonian.exponent_index()
     shared, id_of = index.exps, index.id
-    it = iter(exps)
+    it = iter(raw)
     terms = {shared[id_of(e)]: c for e, c in zip(zip(it, it, it, it, it, it), coefs)}
     if len(terms) != len(coefs):
         raise ValueError("repeated exponent")
@@ -323,9 +353,7 @@ def _unusable(directory: Path, exc: OSError) -> CacheDirectoryError:
 
 def _store(ch: Character) -> None:
     path = cache_path(ch.weight)
-    terms = ch.poly.terms
-    entry = {"weight": list(ch.weight), "version": CACHE_VERSION, "method": ch.method,
-             "exps": [x for e in terms for x in e], "coefs": list(terms.values())}
+    text = encode_cache_entry(ch)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=_TMP_SUFFIX)
@@ -333,7 +361,7 @@ def _store(ch: Character) -> None:
         raise _unusable(path.parent, exc) from exc
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps(entry, separators=(",", ":")))
+            fh.write(text)
         os.replace(tmp, path)  # atomic publish; identical content on races
     except FileNotFoundError:
         pass  # a concurrent `cache clear` removed tmp: the entry is not kept

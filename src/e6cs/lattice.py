@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
+from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InternalInconsistencyError, NonIntegralError
@@ -121,9 +123,8 @@ def _generate_positive_roots() -> tuple[Vec, ...]:
 
 _POSITIVE_ROOTS = _generate_positive_roots()
 
-_WEYL_DENOMINATOR = 1
-for _r in _POSITIVE_ROOTS:
-    _WEYL_DENOMINATOR *= height(_r)
+_ROOT_HEIGHTS: Vec = tuple(map(height, _POSITIVE_ROOTS))
+_WEYL_DENOMINATOR = prod(_ROOT_HEIGHTS)
 
 
 # the dimensions of the fundamental representations: the point at which a
@@ -217,8 +218,8 @@ def weyl_dimension(m: Sequence[int]) -> int:
 @lru_cache(maxsize=4096)
 def _weyl_dimension_cached(m: Vec) -> int:
     num = 1
-    for r in _POSITIVE_ROOTS:
-        num *= height(r) + sum(c * mi for c, mi in zip(r, m))
+    for r, h in zip(_POSITIVE_ROOTS, _ROOT_HEIGHTS):
+        num *= h + sum(map(mul, r, m))
     q, rem = divmod(num, _WEYL_DENOMINATOR)
     if rem:
         raise InternalInconsistencyError(f"Weyl dimension of {m} is not an integer")

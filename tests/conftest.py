@@ -23,9 +23,11 @@ def session_cache(tmp_path_factory):
 
 @pytest.fixture
 def term_index():
-    """Position of an exponent in a cache entry's flat `exps` array."""
+    """Position of an exponent among a cache entry's terms, read from its
+    `exps` hex string, six exponents per term, each `width` bytes."""
     def find(payload, exp):
-        exps = payload["exps"]
+        raw, width = bytes.fromhex(payload["exps"]), payload["width"]
+        exps = [int.from_bytes(raw[i:i + width], "big") for i in range(0, len(raw), width)]
         return [tuple(exps[i:i + 6]) for i in range(0, len(exps), 6)].index(exp)
     return find
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from e6cs import characters, golden, hamiltonian, lattice, verify
 from e6cs.characters import (character, character_annihilator,
@@ -151,8 +153,9 @@ def test_cache_format_round_trip_is_bit_exact(isolated_cache):
     for w in [(0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 1), (0, 0, 0, 3, 0, 0), (1, 1, 0, 0, 1, 0)]:
         ch = character(w)
         payload = json.loads(characters.cache_path(w).read_text())
-        assert sorted(payload) == ["coefs", "exps", "method", "version", "weight"]
-        assert len(payload["exps"]) == 6 * len(payload["coefs"]) == 6 * len(ch.poly.terms)
+        assert list(payload) == ["weight", "version", "method", "width", "exps", "coefs"]
+        assert payload["width"] == 1
+        assert len(_exponents(payload)) == 6 * len(payload["coefs"]) == 6 * len(ch.poly.terms)
         characters.clear_memory_cache()
         again = character(w)
         assert again.weight == ch.weight and again.method == ch.method
@@ -222,12 +225,54 @@ def test_the_scaleup_product_is_pinned_cold_and_warm(isolated_cache, fresh_index
     assert runs[0] == runs[1] and len(runs[0].terms) == 342
 
 
+def _exponents(payload):
+    """A cache entry's exponents, six per term, read at its width."""
+    raw, width = bytes.fromhex(payload["exps"]), payload["width"]
+    return [int.from_bytes(raw[i:i + width], "big") for i in range(0, len(raw), width)]
+
+
+def _set_exponents(payload, exps, width=1):
+    payload["width"] = width
+    payload["exps"] = b"".join(x.to_bytes(width, "big") for x in exps).hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cache_entry_round_trips_at_every_width(fresh_index, data):
+    # no character that tier-1 computes has an exponent over 255, so this is
+    # the only test of widths over 1: exponents up to 2^40 take 1 to 6 bytes,
+    # and the largest exponent drawn needs exactly `width` of them
+    width = data.draw(st.integers(1, 6))
+    low, high = (256 ** (width - 1) if width > 1 else 0), min(2 ** 40, 256 ** width - 1)
+    labels, coefs = st.integers(0, high), st.integers(-2 ** 200, 2 ** 200).filter(bool)
+    terms = data.draw(st.dictionaries(st.tuples(*[labels] * 6), coefs, max_size=7))
+    terms[data.draw(st.tuples(*[labels] * 5, st.integers(low, high)))] = data.draw(coefs)
+    weight = data.draw(st.tuples(*[st.integers(0, 2 ** 40)] * 6))
+    method = data.draw(st.sampled_from(["recursion", "annihilator"]))
+    ch = characters.Character(weight, SparsePolynomial(terms), method)
+    text = characters.encode_cache_entry(ch)
+    assert json.loads(text)["width"] == width
+    with fresh_index() as index:
+        got = characters.decode_cache_entry(text)
+        assert (got.weight, got.method) == (weight, method)
+        assert list(got.poly.terms.items()) == list(terms.items())
+        assert all(e is index.exps[index.ids[e]] for e in got.poly.terms)
+        assert characters.encode_cache_entry(got) == text
+
+
+def test_a_wide_exponent_is_stored_big_endian():
+    ch = characters.Character((0, 0, 0, 0, 0, 0),
+                              SparsePolynomial({(256, 0, 0, 0, 0, 1): 1}), "recursion")
+    entry = json.loads(characters.encode_cache_entry(ch))
+    assert (entry["width"], entry["exps"]) == (2, "0100" + "0000" * 4 + "0001")
+
+
 def _shorten_exps(payload, at):
-    payload["exps"].pop()
+    payload["exps"] = payload["exps"][:-2]  # one exponent byte short
 
 
-def _negative_exponent(payload, at):
-    payload["exps"][6 * at(payload, (0, 0, 1, 0, 0, 0)) + 2] = -1
+def _negative_label(payload, at):  # an exponent byte cannot be negative
+    payload["weight"][2] = -1
 
 
 def _float_coefficient(payload, at):
@@ -245,7 +290,9 @@ def _zero_coefficient(payload, at):
 
 def _repeated_exponent(payload, at):
     i, j = at(payload, (0, 0, 1, 0, 0, 0)), at(payload, (0, 0, 0, 0, 0, 1))
-    payload["exps"][6 * j:6 * j + 6] = payload["exps"][6 * i:6 * i + 6]
+    exps = _exponents(payload)
+    exps[6 * j:6 * j + 6] = exps[6 * i:6 * i + 6]
+    _set_exponents(payload, exps)
 
 
 def _foreign_weight(payload, at):
@@ -255,7 +302,7 @@ def _foreign_weight(payload, at):
 def _same_dimension_non_eigenfunction(payload, at):
     # z1^2 - z3 - z6 becomes z1^2 - z3 - 14*z6 + 13*z1, still of dimension 351
     payload["coefs"][at(payload, (0, 0, 0, 0, 0, 1))] = -14
-    payload["exps"] += [1, 0, 0, 0, 0, 0]
+    _set_exponents(payload, _exponents(payload) + [1, 0, 0, 0, 0, 0])
     payload["coefs"].append(13)
 
 
@@ -264,8 +311,8 @@ def _unknown_method(payload, at):
 
 
 @pytest.mark.parametrize("corrupt, reason", [
-    (_shorten_exps, "17 exponents for 3 coefficients"),
-    (_negative_exponent, "negative label or exponent"),
+    (_shorten_exps, "17 exponent bytes of width 1 for 3 coefficients"),
+    (_negative_label, "negative label"),
     (_float_coefficient, "must be integers"),
     (_true_coefficient, "must be integers"),
     (_zero_coefficient, "zero coefficient"),
@@ -276,7 +323,62 @@ def _unknown_method(payload, at):
 ])
 def test_cache_decoder_rejects_malformed_entries(corrupt, reason, isolated_cache,
                                                  capsys, term_index):
-    w = (2, 0, 0, 0, 0, 0)
+    _every_reader_rejects((2, 0, 0, 0, 0, 0), corrupt, reason, capsys, term_index)
+
+
+def _odd_length_exps(payload, at):
+    payload["exps"] = payload["exps"][:-1]
+
+
+def _non_hex_exps(payload, at):
+    payload["exps"] = "g" + payload["exps"][1:]
+
+
+def _uppercase_exps(payload, at):
+    assert "a" in payload["exps"]  # the exponent 10 is 0a
+    payload["exps"] = payload["exps"].upper()
+
+
+def _spaced_exps(payload, at):
+    exps = payload["exps"]
+    payload["exps"] = exps[:2] + " " + exps[2:]
+
+
+def _zero_width(payload, at):
+    payload["width"] = 0
+
+
+def _true_width(payload, at):
+    payload["width"] = True
+
+
+def _string_width(payload, at):
+    payload["width"] = "1"
+
+
+def _wider_than_needed(payload, at):
+    _set_exponents(payload, _exponents(payload), width=2)
+
+
+@pytest.mark.parametrize("corrupt, reason", [
+    (_odd_length_exps, "exps is not a lowercase hex string"),
+    (_non_hex_exps, "exps is not a lowercase hex string"),
+    (_uppercase_exps, "exps is not a lowercase hex string"),
+    (_spaced_exps, "exps is not a lowercase hex string"),
+    (_zero_width, "width 0 is not a positive integer"),
+    (_true_width, "width True is not a positive integer"),
+    (_string_width, "width '1' is not a positive integer"),
+    (_wider_than_needed, "width 2 is wider than the largest exponent needs"),
+])
+def test_cache_decoder_reads_only_the_one_encoding(corrupt, reason, isolated_cache,
+                                                   capsys, term_index):
+    # chi(10,0,0,0,0,0) has exponents of 10, so its hex has letters to uppercase
+    _every_reader_rejects((10, 0, 0, 0, 0, 0), corrupt, reason, capsys, term_index)
+
+
+def _every_reader_rejects(w, corrupt, reason, capsys, term_index):
+    """Corrupt w's stored entry; the lookup, `char`, the dims sweep and
+    `cache validate` must each fail with one verdict that names the entry."""
     character(w)
     path = characters.cache_path(w)
     payload = json.loads(path.read_text())
@@ -287,8 +389,8 @@ def test_cache_decoder_rejects_malformed_entries(corrupt, reason, isolated_cache
         character(w)
     assert re.search(reason, str(info.value))
     characters.clear_memory_cache()
-    assert main(["char", "2,0,0,0,0,0"]) == 1
-    assert "error:" in capsys.readouterr().err
+    assert main(["char", ",".join(map(str, w))]) == 1
+    assert capsys.readouterr().err == f"error: {info.value}\n"
     # the dims sweep and `cache validate` give the lookup's verdict
     assert main(["verify", "--suite=dims"]) == 1
     assert f"FAIL [dims] cached entry {path.name}: {info.value}\n" in capsys.readouterr().out
@@ -308,23 +410,35 @@ def test_every_reader_rejects_an_entry_under_another_weights_name(isolated_cache
     assert f"FAIL [dims] cached entry {planted.name}: {message}\n" in capsys.readouterr().out
 
 
-def test_stale_cache_version_is_recomputed(isolated_cache, monkeypatch, capsys):
-    expect = {w: character_recursion(w).poly for w in [(1, 0, 0, 0, 0, 2), (0, 1, 1, 0, 0, 0)]}
-    for w, poly in expect.items():  # the version-1 layout, one record per term
-        v1 = {"weight": list(w), "terms": poly.to_records(), "method": "recursion",
-              "version": 1}
-        characters.cache_path(w).write_text(json.dumps(v1))
+def _v1_entry(w, poly):
+    """The version-1 layout, one record per term."""
+    return json.dumps({"weight": list(w), "terms": poly.to_records(), "method": "recursion",
+                       "version": 1})
+
+
+def _v2_entry(w, poly):
+    """The version-2 layout, byte for byte as it was stored: flat integer arrays."""
+    return json.dumps({"weight": list(w), "version": 2, "method": "recursion",
+                       "exps": [x for e in poly.terms for x in e],
+                       "coefs": list(poly.terms.values())}, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("stale", [_v1_entry, _v2_entry])
+def test_stale_cache_version_is_recomputed(stale, isolated_cache, monkeypatch, capsys):
+    expect = {w: character_recursion(w) for w in [(1, 0, 0, 0, 0, 2), (0, 1, 1, 0, 0, 0)]}
+    for w, ch in expect.items():
+        characters.cache_path(w).write_text(stale(w, ch.poly))
     dims = {c.name: c.ok for c in verify.suite_dims()}
     assert all(dims.values()) and "cached entries swept: 0" in dims
     w, u = expect
-    assert character(w).poly == expect[w]  # a miss: recomputed and overwritten
+    assert character(w) == expect[w]  # a miss: recomputed and overwritten
     assert main(["cache", "validate"]) == 0  # upgrades the other entry
-    for v in expect:
-        payload = json.loads(characters.cache_path(v).read_text())
-        assert payload["version"] == characters.CACHE_VERSION == 2
+    assert characters.CACHE_VERSION == 3
+    for v, ch in expect.items():
+        assert characters.cache_path(v).read_text() == characters.encode_cache_entry(ch)
     characters.clear_memory_cache()
     monkeypatch.setattr(characters, "character_recursion", None)  # hits only from here
-    assert character(w).poly == expect[w] and character(u).poly == expect[u]
+    assert character(w) == expect[w] and character(u) == expect[u]
 
 
 def test_dims_sweep_proves_an_entry_that_differs_from_the_memory_tier(isolated_cache, capsys,
@@ -402,7 +516,7 @@ def test_a_mate_that_differs_from_sigma_of_its_proven_partner_gets_the_residual_
     character(mate)
     path = characters.cache_path(mate)
     payload = json.loads(path.read_text())
-    e = tuple(payload["exps"][6:12])  # the first interior term
+    e = tuple(_exponents(payload)[6:12])  # the first interior term
     payload["coefs"][term_index(payload, e)] *= 2
     path.write_text(json.dumps(payload))
     characters.clear_memory_cache()

@@ -333,17 +333,31 @@ def test_verify_all_output_is_pinned(capsys, isolated_cache):
         characters.clear_memory_cache()
 
 
+def _entry_digests(cache):
+    """The entry count, the digest of the entry files by name, and the digest
+    of the same entries decoded and rendered again in the version-2 layout
+    (flat integer arrays), which the version-2 files hashed to: so only the
+    exponent field changed with version 3."""
+    files, v2 = hashlib.sha256(), hashlib.sha256()
+    entries = sorted(cache.glob("chi_*.json"))
+    for path in entries:
+        text = path.read_bytes()
+        ch = characters.decode_cache_entry(text.decode())
+        old = json.dumps({"weight": list(ch.weight), "version": 2, "method": ch.method,
+                          "exps": [x for e in ch.poly.terms for x in e],
+                          "coefs": list(ch.poly.terms.values())}, separators=(",", ":"))
+        files.update(path.name.encode() + b"\0" + text + b"\0")
+        v2.update(path.name.encode() + b"\0" + old.encode() + b"\0")
+    return len(entries), files.hexdigest(), v2.hexdigest()
+
+
 def test_cache_entries_written_by_a_cold_job_are_pinned(capsys, isolated_cache):
     # the recursion's term order reaches the cache files byte for byte
     code, _, _ = run(capsys, "monomial", "0,0,1,1,0,0")
     assert code == 0
-    digest = hashlib.sha256()
-    entries = sorted(isolated_cache.glob("chi_*.json"))
-    for path in entries:
-        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
-    assert len(entries) == 14
-    assert digest.hexdigest() == \
-        "ebc86e4a5611ec4acc06b2846666b3ffb19d64b389bdb5b7063ada70e4b2696b"
+    assert _entry_digests(isolated_cache) == (
+        14, "0066542fd1528b5a629065d49ec91ff405a74893c0d01e43ead3fd9cb4751467",
+        "ebc86e4a5611ec4acc06b2846666b3ffb19d64b389bdb5b7063ada70e4b2696b")
 
 
 def test_the_cold_monomial_job_is_pinned(capsys, isolated_cache):
@@ -353,13 +367,9 @@ def test_the_cold_monomial_job_is_pinned(capsys, isolated_cache):
     expect = "2aa027ba6569838dfb77e44e09f741711e26ffceb9ef9baa95c4afc9f00ba65e"
     code, out, _ = run(capsys, "monomial", "0,0,0,5,0,0", "--json")
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == expect
-    digest = hashlib.sha256()
-    entries = sorted(isolated_cache.glob("chi_*.json"))
-    for path in entries:
-        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
-    assert len(entries) == 633
-    assert digest.hexdigest() == \
-        "da7c8f1e4990bbf6d3f7e1e36680ad216530b3c46dc21fc3c0601dc52be89b5b"
+    assert _entry_digests(isolated_cache) == (
+        633, "c593ab7ce6388c77bd5b086bc6f6273bfd2fbe50b42dcc77c7c523ca9ced6c93",
+        "da7c8f1e4990bbf6d3f7e1e36680ad216530b3c46dc21fc3c0601dc52be89b5b")
     characters.clear_memory_cache()
     code, out, _ = run(capsys, "monomial", "0,0,0,5,0,0", "--json")
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == expect
