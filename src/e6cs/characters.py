@@ -190,14 +190,14 @@ def _check_residual(w: lattice.Vec, terms: dict[Exponent, int], eps3: int) -> No
             f"residual {coef_to_str(Fraction(r3, 3))} at exponent {t}")
 
 
-def pay_owed(owed: Owed, keep: bool = True) -> None:
+def pay_owed(owed: Owed) -> None:
     """Empty owed, running the residual passes that validate_character left
     there together in hamiltonian.residuals_vanish.  If one fails, or a row
     of the operator fails its check there, each runs again alone, in load
     order, through _check_residual, so the first corrupt entry is named with
-    the CacheCorruptError of a lookup that proves its hit at once.  With
-    keep, every owed character then enters _MEMORY; a peel that is already
-    failing passes keep=False, only to name an earlier corrupt entry first."""
+    the CacheCorruptError of a lookup that proves its hit at once, and
+    nothing enters _MEMORY.  Otherwise every owed character is proven and
+    enters _MEMORY, whatever its caller does next."""
     proven = list(owed.values())
     owed.clear()
     due = [(ch, eps3) for ch, eps3 in proven if eps3 is not None]
@@ -211,8 +211,7 @@ def pay_owed(owed: Owed, keep: bool = True) -> None:
                 _check_residual(ch.weight, ch.poly.terms, eps3)
             except InternalInconsistencyError as exc:
                 raise _invalid(cache_path(ch.weight), exc) from exc
-    if keep:
-        _MEMORY.update((ch.weight, ch) for ch, _ in proven)
+    _MEMORY.update((ch.weight, ch) for ch, _ in proven)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +299,8 @@ def decode_cache_entry(text: str) -> Character | None:
     Each term is keyed by the exponent index's own tuple, as the recursion
     keys its terms, so every loaded entry shares the index's one tuple per
     exponent; an exponent first seen here gets its id, its row stays lazy.
-    Returns None for an entry of another format version.  Raises ValueError
+    Returns None for an entry of another format version, and for one whose
+    version is not a plain int, such as 3.0.  Raises ValueError
     on anything malformed; the invariants are left to validate_character."""
     try:
         obj = json.loads(text)
@@ -308,7 +308,8 @@ def decode_cache_entry(text: str) -> Character | None:
         raise ValueError("entry nests too deeply") from None
     if type(obj) is not dict:
         raise ValueError("entry is not a JSON object")
-    if obj.get("version") != CACHE_VERSION:
+    version = obj.get("version")
+    if type(version) is not int or version != CACHE_VERSION:
         return None
     weight, width, exps, coefs = map(obj.get, ("weight", "width", "exps", "coefs"))
     if type(weight) is not list or type(exps) is not str or type(coefs) is not list:

@@ -7,7 +7,8 @@ is exactly its multiplicity.  Subtracting that multiple of the candidate's
 character and finishing with a zero residual is a complete correctness proof
 for the series, which is why peeling failures are raised as hard errors.
 The characters a peel reads from the cache prove their eigenfunction
-identity together, in one packed pass (characters.pay_owed).
+identity together, in one packed pass (characters.pay_owed) that runs when
+the peel ends, however it ends, or earlier, before a miss computes.
 """
 
 from __future__ import annotations
@@ -65,11 +66,16 @@ class CGSeries:
 
 
 def _peel(product: SparsePolynomial, factors: tuple[lattice.Vec, ...]) -> CGSeries:
+    """Peel product into the characters of the dominant weights below the
+    top of factors, then prove the series.  The eigenfunction proofs of the
+    cache hits are owed, and paid when the loop ends, however it ends: an
+    error that leaves the loop still names an earlier corrupt entry first,
+    as its load would have, and characters whose payment succeeds enter the
+    memory tier even if the peel then fails."""
     top = _top(factors)
     residual = dict(product.terms)
     out: dict[lattice.Vec, int] = {}
-    # the eigenfunction proofs of this peel's cache hits, paid together before
-    # a miss computes, before an exception leaves and before the series checks
+    # the proofs this peel owes; character pays them before a miss computes
     owed: Owed = {}
     try:
         for mu in lattice.dominant_weights_below(top):
@@ -86,10 +92,8 @@ def _peel(product: SparsePolynomial, factors: tuple[lattice.Vec, ...]) -> CGSeri
                     residual[e] = s
                 else:
                     residual.pop(e, None)
-    except BaseException:
-        pay_owed(owed, keep=False)  # an earlier corrupt entry is named first, as at its load
-        raise
-    pay_owed(owed)
+    finally:
+        pay_owed(owed)
     if residual:
         raise NonzeroResidualError(
             f"residual has {len(residual)} terms after peeling {' x '.join(map(str, factors))}")

@@ -1,14 +1,15 @@
-"""Acceptance suite: each criterion runs its `e6cs verify` suite within a
-wall-clock budget and prints a pass line with its runtime; the tables below
-pin the facts no suite states.  Every comparison is exact; the only
-tolerances are the stated budgets."""
+"""Acceptance facts that no `e6cs verify` suite states: the sizes of the
+shipped reference data and how its loaders refuse a planted fault, spot
+multiplicities of l3 x l4 and z4^3, and the closed-form z1 * chi(n l_k)
+product families.  The suites themselves are gated once, by the pinned
+output of `e6cs verify --suite=all` in test_cli.py.  Every comparison is
+exact."""
 
 import re
-import time
 
 import pytest
 
-from e6cs import golden, lattice, tensor, verify
+from e6cs import golden, lattice, tensor
 
 REFERENCE_SIZES = {
     golden.characters_degree2: 28,
@@ -17,7 +18,6 @@ REFERENCE_SIZES = {
     golden.series_cubic: 31,
     golden.tensor_candidates_l3_l4: 14,
 }
-
 
 
 @pytest.fixture
@@ -82,51 +82,18 @@ Z4_CUBED = {(1, 0, 0, 1, 0, 1): 156, (1, 1, 0, 0, 0, 1): 150, (0, 0, 1, 0, 1, 0)
             (0, 0, 0, 0, 0, 0): 2}
 
 
-def _report(number: int, title: str, started: float, budget: float) -> None:
-    elapsed = time.monotonic() - started
-    assert elapsed < budget, f"criterion {number} exceeded its {budget}s budget: {elapsed:.1f}s"
-    print(f"ACCEPTANCE {number} {title}: PASS ({elapsed:.2f}s)")
-
-
-def _run_suite(number: int, title: str, suite: str, budget: float) -> None:
-    t0 = time.monotonic()
-    checks = verify.SUITES[suite]()
-    assert checks, f"suite {suite} returned no checks"
-    failed = [c for c in checks if not c.ok]
-    assert not failed, failed
-    _report(number, f"{title} [{suite}]", t0, budget)
-
-
 def test_reference_data_sizes():
     assert {load: len(load()) for load in REFERENCE_SIZES} == REFERENCE_SIZES
 
 
-def test_criterion_1_root_data():
-    _run_suite(1, "root data", "roots", budget=1.0)
+def test_l3_l4_spot_multiplicities():
+    series = tensor.tensor_decompose((0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0))
+    assert {w: series.multiplicity(w) for w in L3_L4} == L3_L4
 
 
-def test_criterion_2_dimensions():
-    _run_suite(2, "dimensions", "dims", budget=1.0)
-
-
-def test_criterion_3_operator_tables():
-    _run_suite(3, "operator tables", "tables", budget=30.0)
-
-
-def test_criterion_4_characters():
-    _run_suite(4, "degree-3 characters by both methods", "appendix-a", budget=60.0)
-
-
-def test_criterion_5_quadratic_series():
-    _run_suite(5, "degree-2 characters and quadratic series", "quadratic", budget=60.0)
-    s34 = tensor.tensor_decompose((0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0))
-    assert {w: s34.multiplicity(w) for w in L3_L4} == L3_L4
-
-
-def test_criterion_6_cubic_series():
-    _run_suite(6, "cubic series", "appendix-b", budget=1800.0)
-    z43 = tensor.monomial_decompose((0, 0, 0, 3, 0, 0))
-    assert {w: z43.multiplicity(w) for w in Z4_CUBED} == Z4_CUBED
+def test_z4_cubed_spot_multiplicities():
+    series = tensor.monomial_decompose((0, 0, 0, 3, 0, 0))
+    assert {w: series.multiplicity(w) for w in Z4_CUBED} == Z4_CUBED
 
 
 CLOSED_FORMS = {
@@ -142,16 +109,10 @@ CLOSED_FORMS = {
 }
 
 
-def test_criterion_7_closed_form_families():
-    t0 = time.monotonic()
+def test_closed_form_product_families():
     l1 = lattice.fundamental_weight(1)
     for k in range(1, 7):
         for n in (2, 3, 4):
             series = tensor.tensor_decompose(l1, tuple(n * x for x in lattice.fundamental_weight(k)))
             expected = {w: 1 for w in CLOSED_FORMS[k](n)}
             assert series.terms == expected, (k, n)
-    _report(7, "closed-form product families", t0, budget=300.0)
-
-
-def test_criterion_8_property_suites():
-    _run_suite(8, "duality and orthogonality", "duality", budget=600.0)

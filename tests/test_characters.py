@@ -310,6 +310,14 @@ def _unknown_method(payload, at):
     payload["method"] = ["x"]  # once printed by `char --format json` as "['x']"
 
 
+def _not_an_object(payload, at):
+    return []
+
+
+def _integer_array_exps(payload, at):
+    payload["exps"] = _exponents(payload)  # the version-2 field under version 3
+
+
 @pytest.mark.parametrize("corrupt, reason", [
     (_shorten_exps, "17 exponent bytes of width 1 for 3 coefficients"),
     (_negative_label, "negative label"),
@@ -318,6 +326,8 @@ def _unknown_method(payload, at):
     (_zero_coefficient, "zero coefficient"),
     (_repeated_exponent, "repeated exponent"),
     (_unknown_method, r"method \['x'\] is not one of recursion, annihilator"),
+    (_not_an_object, "entry is not a JSON object"),
+    (_integer_array_exps, "weight and coefs must be arrays, exps a string"),
     (_foreign_weight, r"holds the character of \(0, 0, 0, 0, 0, 2\)"),
     (_same_dimension_non_eigenfunction, "not an eigenfunction: .* residual 520 at"),
 ])
@@ -377,13 +387,14 @@ def test_cache_decoder_reads_only_the_one_encoding(corrupt, reason, isolated_cac
 
 
 def _every_reader_rejects(w, corrupt, reason, capsys, term_index):
-    """Corrupt w's stored entry; the lookup, `char`, the dims sweep and
-    `cache validate` must each fail with one verdict that names the entry."""
+    """Corrupt w's stored entry, in place or by returning a replacement; the
+    lookup, `char`, the dims sweep and `cache validate` must each fail with
+    one verdict that names the entry."""
     character(w)
     path = characters.cache_path(w)
     payload = json.loads(path.read_text())
-    corrupt(payload, term_index)
-    path.write_text(json.dumps(payload))
+    replaced = corrupt(payload, term_index)
+    path.write_text(json.dumps(payload if replaced is None else replaced))
     characters.clear_memory_cache()
     with pytest.raises(CacheCorruptError, match=re.escape(str(path))) as info:
         character(w)
@@ -416,14 +427,27 @@ def _v1_entry(w, poly):
                        "version": 1})
 
 
-def _v2_entry(w, poly):
+def _v2_entry(w, poly, method="recursion"):
     """The version-2 layout, byte for byte as it was stored: flat integer arrays."""
-    return json.dumps({"weight": list(w), "version": 2, "method": "recursion",
+    return json.dumps({"weight": list(w), "version": 2, "method": method,
                        "exps": [x for e in poly.terms for x in e],
                        "coefs": list(poly.terms.values())}, separators=(",", ":"))
 
 
-@pytest.mark.parametrize("stale", [_v1_entry, _v2_entry])
+def _v2_annihilator_entry(w, poly):
+    """What `char --method=annihilator` stored in version 2."""
+    return _v2_entry(w, poly, "annihilator")
+
+
+def _float_version_entry(w, poly):
+    """A version-3 entry but for its version, written 3.0."""
+    entry = json.loads(characters.encode_cache_entry(characters.Character(w, poly, "recursion")))
+    entry["version"] = 3.0
+    return json.dumps(entry, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("stale", [_v1_entry, _v2_entry, _v2_annihilator_entry,
+                                   _float_version_entry])
 def test_stale_cache_version_is_recomputed(stale, isolated_cache, monkeypatch, capsys):
     expect = {w: character_recursion(w) for w in [(1, 0, 0, 0, 0, 2), (0, 1, 1, 0, 0, 0)]}
     for w, ch in expect.items():
@@ -487,6 +511,22 @@ def test_verify_renders_polynomials_only_for_a_failed_check(monkeypatch):
     checks = list(verify._character_checks((2, 0, 0, 0, 0, 0), expect))
     assert len(checks) == 3 and all(c.ok for c in checks)
     assert rendered == []
+
+
+def test_verify_names_a_character_that_fails_its_invariants(monkeypatch):
+    w = (1, 0, 0, 0, 0, 2)
+    expect = character_recursion(w).poly
+    bumped = dict(expect.terms)
+    bumped[next(e for e in bumped if e != w)] += 1  # an interior coefficient
+
+    def recursion(m):
+        return characters.Character(tuple(m), SparsePolynomial(bumped), "recursion")
+
+    monkeypatch.setattr(verify, "character_recursion", recursion)
+    checks = {c.name: c for c in verify._character_checks(w, expect)}
+    check = checks["chi(1,0,0,0,0,2) invariants"]
+    assert not check.ok
+    assert check.detail.startswith(f"character of {w} is not an eigenfunction")
 
 
 def test_validation_failures_name_the_fault(monkeypatch):

@@ -147,6 +147,8 @@ def test_parser_rejects_bad_input():
 
 @pytest.mark.parametrize("text, message", [
     ("z1 + q", "unexpected input at ' q'"),
+    ("*z1", "unexpected token '*'"),
+    (")", "unexpected token ')'"),
     ("z1^-2", "exponent must be a non-negative integer"),
     ("z1^1/3", "exponent must be a non-negative integer"),
     ("z1^", "exponent must be a non-negative integer"),

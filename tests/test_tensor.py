@@ -27,11 +27,7 @@ def test_trivial_factor_is_identity():
 
 def test_product_l3_l4():
     series = tensor_decompose(L(3), L(4))
-    assert len(series.terms) == 14
-    assert series.multiplicity((0, 1, 1, 0, 0, 0)) == 2
-    assert series.multiplicity((1, 0, 0, 0, 1, 0)) == 2
-    assert series.multiplicity((0, 1, 0, 0, 0, 1)) == 2
-    assert series.multiplicity((0, 0, 0, 0, 0, 1)) == 1
+    assert len(series.terms) == 14  # spot multiplicities: test_acceptance.L3_L4
     assert series.total_dimension() == 351 * 2925
     # ordered terms follow increasing drop height from the top weight
     assert [w for w, _ in series.sorted_terms()] == lattice.dominant_weights_below((0, 0, 1, 1, 0, 0))
@@ -120,6 +116,19 @@ def test_duality_suite_catches_a_wrong_multiplicity(monkeypatch):
     check = _orthogonality_check(verify.suite_duality())
     assert not check.ok
     assert "(1, 6, 2)" in check.detail
+
+
+def test_duality_suite_names_a_character_whose_sigma_image_is_wrong(monkeypatch):
+    w, image = (2, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 2)
+    lookup = verify.character
+
+    def unswapped(m):  # chi(image) comes back as chi(w), not as sigma of it
+        return lookup(w if tuple(m) == image else m)
+
+    monkeypatch.setattr(verify, "character", unswapped)
+    (check,) = [c for c in verify.suite_duality() if c.name.startswith("conjugation")]
+    assert not check.ok
+    assert check.detail == f"expected no mismatches, computed {[image, w]}"
 
 
 def test_series_json_round_trip():
