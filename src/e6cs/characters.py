@@ -31,7 +31,7 @@ from .errors import (CacheCorruptError, CacheDirectoryError, DegenerateScaleErro
 from .ring import Exponent, SparsePolynomial, _wrap, coef_to_str
 
 CACHE_ENV = "E6CS_CACHE_DIR"
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 JSON_VERSION = 1  # of the `char --format json` record, not of the cache
 _TMP_SUFFIX = ".tmp"  # of an entry that _store has not yet published by its rename
 
@@ -157,7 +157,9 @@ def validate_character(ch: Character, owed: Owed | None = None) -> None:
     With owed, the proofs a peel still owes, the residual pass is not run
     but owed: owed[w] becomes (ch, eps3), or (ch, None) when ch is exactly
     sigma of an owed mate, whose proof it will inherit.  Either way ch is not
-    proven until pay_owed runs, and its caller keeps it out of _MEMORY."""
+    proven until pay_owed runs, and its caller keeps it out of _MEMORY.  The
+    entry is made only once every other check has passed, so a rejected ch
+    never reaches pay_owed, which would admit it to _MEMORY."""
     w, terms = ch.weight, ch.poly.terms
     if terms.get(w) != 1:
         raise InternalInconsistencyError(f"character of {w} is not monic")
@@ -165,18 +167,18 @@ def validate_character(ch: Character, owed: Owed | None = None) -> None:
         raise InternalInconsistencyError(f"character of {w} has non-integer coefficients")
     conj = lattice.conjugate(w)
     known, mate = _MEMORY.get(w), _MEMORY.get(conj)
-    if not (known is not None and known.poly == ch.poly
-            or mate is not None and mate.poly.conjugate_variables() == ch.poly):
-        if owed is None:
-            _check_residual(w, terms, hamiltonian.eigenvalue_x3(w))
-        else:
-            due = owed.get(conj)
-            inherits = due is not None and due[0].poly.conjugate_variables() == ch.poly
-            owed[w] = (ch, None if inherits else hamiltonian.eigenvalue_x3(w))
+    unproven = not (known is not None and known.poly == ch.poly
+                    or mate is not None and mate.poly.conjugate_variables() == ch.poly)
+    if unproven and owed is None:
+        _check_residual(w, terms, hamiltonian.eigenvalue_x3(w))
     got, expect = _dimension(terms), lattice.weyl_dimension(w)
     if got != expect:
         raise InternalInconsistencyError(
             f"character of {w} evaluates to {got}, expected the Weyl dimension {expect}")
+    if unproven and owed is not None:
+        due = owed.get(conj)
+        inherits = due is not None and due[0].poly.conjugate_variables() == ch.poly
+        owed[w] = (ch, None if inherits else hamiltonian.eigenvalue_x3(w))
 
 
 def _check_residual(w: lattice.Vec, terms: dict[Exponent, int], eps3: int) -> None:
@@ -276,31 +278,28 @@ def encode_cache_entry(ch: Character) -> str:
     """The text of ch's cache file; the inverse of decode_cache_entry.
 
     The exponents of the terms, six per term in term order, are one
-    lowercase hex string, each exponent `width` bytes big-endian, with
-    width the fewest bytes that hold the largest, at least one; so a
-    polynomial has exactly one encoding."""
+    lowercase hex string of one byte each, so a polynomial has exactly one
+    encoding.  An exponent over 255 raises ValueError (bytes() does): it
+    needs a weight far beyond any character the engine can compute."""
     terms = ch.poly.terms
-    flat = [x for e in terms for x in e]
-    width = max(1, -(-max(flat, default=0).bit_length() // 8))
-    raw = bytes(flat) if width == 1 else b"".join(x.to_bytes(width, "big") for x in flat)
     entry = {"weight": list(ch.weight), "version": CACHE_VERSION, "method": ch.method,
-             "width": width, "exps": raw.hex(), "coefs": list(terms.values())}
+             "exps": bytes(x for e in terms for x in e).hex(), "coefs": list(terms.values())}
     return json.dumps(entry, separators=(",", ":"))
 
 
 def decode_cache_entry(text: str) -> Character | None:
     """Rebuild the character stored in a cache file's text.
 
-    An entry is {"weight", "version", "method", "width", "exps", "coefs"}
-    (encode_cache_entry): `exps` holds six exponents per term as hex, each
-    `width` bytes, `coefs` one integer coefficient per term, and `method`
-    names one of _METHODS.  Only the one encoding encode_cache_entry gives is
-    read: `exps` as bytes.hex() writes it and the smallest `width`.
+    An entry is {"weight", "version", "method", "exps", "coefs"}
+    (encode_cache_entry): `exps` holds six exponents per term as hex, one
+    byte each, `coefs` one integer coefficient per term, and `method` names
+    one of _METHODS.  Only the one encoding encode_cache_entry gives is
+    read: `exps` as bytes.hex() writes it.
     Each term is keyed by the exponent index's own tuple, as the recursion
     keys its terms, so every loaded entry shares the index's one tuple per
     exponent; an exponent first seen here gets its id, its row stays lazy.
     Returns None for an entry of another format version, and for one whose
-    version is not a plain int, such as 3.0.  Raises ValueError
+    version is not a plain int, such as 4.0.  Raises ValueError
     on anything malformed; the invariants are left to validate_character."""
     try:
         obj = json.loads(text)
@@ -311,22 +310,18 @@ def decode_cache_entry(text: str) -> Character | None:
     version = obj.get("version")
     if type(version) is not int or version != CACHE_VERSION:
         return None
-    weight, width, exps, coefs = map(obj.get, ("weight", "width", "exps", "coefs"))
+    weight, exps, coefs = map(obj.get, ("weight", "exps", "coefs"))
     if type(weight) is not list or type(exps) is not str or type(coefs) is not list:
         raise ValueError("weight and coefs must be arrays, exps a string")
-    if type(width) is not int or width < 1:
-        raise ValueError(f"width {width!r} is not a positive integer")
     try:
         raw = bytes.fromhex(exps)
     except ValueError:
         raw = None
     if raw is None or raw.hex() != exps:
         raise ValueError("exps is not a lowercase hex string of whole bytes")
-    if len(weight) != 6 or len(raw) != 6 * width * len(coefs):
-        raise ValueError(f"{len(weight)} labels, {len(raw)} exponent bytes of width {width} "
+    if len(weight) != 6 or len(raw) != 6 * len(coefs):
+        raise ValueError(f"{len(weight)} labels, {len(raw)} exponent bytes "
                          f"for {len(coefs)} coefficients")
-    if width > 1 and not any(raw[::width]):  # every exponent's high byte is zero
-        raise ValueError(f"width {width} is wider than the largest exponent needs")
     if set(map(type, chain(weight, coefs))) - {int}:
         raise ValueError("labels and coefficients must be integers")
     if min(weight) < 0:
@@ -336,11 +331,9 @@ def decode_cache_entry(text: str) -> Character | None:
     method = obj.get("method")
     if type(method) is not str or method not in _METHODS:
         raise ValueError(f"method {method!r} is not one of {', '.join(_METHODS)}")
-    if width > 1:  # bytes iterate as the exponents themselves at width 1
-        raw = [int.from_bytes(raw[i:i + width], "big") for i in range(0, len(raw), width)]
     index = hamiltonian.exponent_index()
     shared, id_of = index.exps, index.id
-    it = iter(raw)
+    it = iter(raw)  # bytes iterate as the exponents themselves
     terms = {shared[id_of(e)]: c for e, c in zip(zip(it, it, it, it, it, it), coefs)}
     if len(terms) != len(coefs):
         raise ValueError("repeated exponent")
@@ -361,7 +354,7 @@ def _store(ch: Character) -> None:
     except OSError as exc:
         raise _unusable(path.parent, exc) from exc
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)  # atomic publish; identical content on races
     except FileNotFoundError:
@@ -384,7 +377,7 @@ def _load(m, owed: Owed | None = None) -> Character | None:
     whether the entry's eigenfunction proof is inherited, or, with owed, owed."""
     path = cache_path(m)
     try:
-        ch = decode_cache_entry(path.read_text())
+        ch = decode_cache_entry(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         return None
     except (OSError, ValueError) as exc:

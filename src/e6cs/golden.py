@@ -18,7 +18,7 @@ from .tensor import CGSeries
 
 
 def _read(name: str) -> object:
-    return json.loads(resources.files("e6cs.data").joinpath(name).read_text())
+    return json.loads(resources.files("e6cs.data").joinpath(name).read_text(encoding="utf-8"))
 
 
 def _characters(name: str) -> dict[Vec, SparsePolynomial]:

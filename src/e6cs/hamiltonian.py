@@ -172,7 +172,7 @@ def tables() -> Kernel:
     global _TABLES
     if _TABLES is None:
         path = resources.files("e6cs.data").joinpath("operator_tables.json")
-        _TABLES = parse_tables(json.loads(path.read_text()))
+        _TABLES = parse_tables(json.loads(path.read_text(encoding="utf-8")))
     return _TABLES
 
 

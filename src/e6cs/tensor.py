@@ -21,7 +21,7 @@ from . import lattice
 from .characters import Owed, character, pay_owed
 from .errors import (InternalInconsistencyError, NegativeMultiplicityError,
                      NonzeroResidualError)
-from .ring import SparsePolynomial
+from .ring import SparsePolynomial, _check_budget
 
 
 def _top(factors: Sequence[Sequence[int]]) -> lattice.Vec:
@@ -135,6 +135,7 @@ def tensor_decompose(m: Sequence[int], n: Sequence[int]) -> CGSeries:
 def monomial_decompose(exp: Sequence[int]) -> CGSeries:
     """Decompose the bare monomial z^exp, read as a product of fundamentals."""
     exp = lattice._check_dominant(exp)
+    _check_budget("a monomial", sum(exp), "factors")  # before the factors are listed
     factors: list[lattice.Vec] = []
     for idx, p in enumerate(exp):
         factors.extend([lattice.fundamental_weight(idx + 1)] * p)

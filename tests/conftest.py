@@ -24,11 +24,10 @@ def session_cache(tmp_path_factory):
 @pytest.fixture
 def term_index():
     """Position of an exponent among a cache entry's terms, read from its
-    `exps` hex string, six exponents per term, each `width` bytes."""
+    `exps` hex string, six exponents per term, one byte each."""
     def find(payload, exp):
-        raw, width = bytes.fromhex(payload["exps"]), payload["width"]
-        exps = [int.from_bytes(raw[i:i + width], "big") for i in range(0, len(raw), width)]
-        return [tuple(exps[i:i + 6]) for i in range(0, len(exps), 6)].index(exp)
+        raw = bytes.fromhex(payload["exps"])
+        return [tuple(raw[i:i + 6]) for i in range(0, len(raw), 6)].index(exp)
     return find
 
 

@@ -153,8 +153,7 @@ def test_cache_format_round_trip_is_bit_exact(isolated_cache):
     for w in [(0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 1), (0, 0, 0, 3, 0, 0), (1, 1, 0, 0, 1, 0)]:
         ch = character(w)
         payload = json.loads(characters.cache_path(w).read_text())
-        assert list(payload) == ["weight", "version", "method", "width", "exps", "coefs"]
-        assert payload["width"] == 1
+        assert list(payload) == ["weight", "version", "method", "exps", "coefs"]
         assert len(_exponents(payload)) == 6 * len(payload["coefs"]) == 6 * len(ch.poly.terms)
         characters.clear_memory_cache()
         again = character(w)
@@ -226,32 +225,24 @@ def test_the_scaleup_product_is_pinned_cold_and_warm(isolated_cache, fresh_index
 
 
 def _exponents(payload):
-    """A cache entry's exponents, six per term, read at its width."""
-    raw, width = bytes.fromhex(payload["exps"]), payload["width"]
-    return [int.from_bytes(raw[i:i + width], "big") for i in range(0, len(raw), width)]
+    """A cache entry's exponents, six per term, one byte each."""
+    return list(bytes.fromhex(payload["exps"]))
 
 
-def _set_exponents(payload, exps, width=1):
-    payload["width"] = width
-    payload["exps"] = b"".join(x.to_bytes(width, "big") for x in exps).hex()
+def _set_exponents(payload, exps):
+    payload["exps"] = bytes(exps).hex()
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_cache_entry_round_trips_at_every_width(fresh_index, data):
-    # no character that tier-1 computes has an exponent over 255, so this is
-    # the only test of widths over 1: exponents up to 2^40 take 1 to 6 bytes,
-    # and the largest exponent drawn needs exactly `width` of them
-    width = data.draw(st.integers(1, 6))
-    low, high = (256 ** (width - 1) if width > 1 else 0), min(2 ** 40, 256 ** width - 1)
-    labels, coefs = st.integers(0, high), st.integers(-2 ** 200, 2 ** 200).filter(bool)
-    terms = data.draw(st.dictionaries(st.tuples(*[labels] * 6), coefs, max_size=7))
-    terms[data.draw(st.tuples(*[labels] * 5, st.integers(low, high)))] = data.draw(coefs)
+def test_cache_entry_round_trips(fresh_index, data):
+    # every exponent a byte holds, 0 to 255, far beyond any computed character's
+    labels, coefs = st.integers(0, 255), st.integers(-2 ** 200, 2 ** 200).filter(bool)
+    terms = data.draw(st.dictionaries(st.tuples(*[labels] * 6), coefs, min_size=1, max_size=8))
     weight = data.draw(st.tuples(*[st.integers(0, 2 ** 40)] * 6))
     method = data.draw(st.sampled_from(["recursion", "annihilator"]))
     ch = characters.Character(weight, SparsePolynomial(terms), method)
     text = characters.encode_cache_entry(ch)
-    assert json.loads(text)["width"] == width
     with fresh_index() as index:
         got = characters.decode_cache_entry(text)
         assert (got.weight, got.method) == (weight, method)
@@ -260,11 +251,11 @@ def test_cache_entry_round_trips_at_every_width(fresh_index, data):
         assert characters.encode_cache_entry(got) == text
 
 
-def test_a_wide_exponent_is_stored_big_endian():
+def test_an_exponent_over_255_is_not_stored():
     ch = characters.Character((0, 0, 0, 0, 0, 0),
                               SparsePolynomial({(256, 0, 0, 0, 0, 1): 1}), "recursion")
-    entry = json.loads(characters.encode_cache_entry(ch))
-    assert (entry["width"], entry["exps"]) == (2, "0100" + "0000" * 4 + "0001")
+    with pytest.raises(ValueError, match="range"):
+        characters.encode_cache_entry(ch)
 
 
 def _shorten_exps(payload, at):
@@ -315,11 +306,11 @@ def _not_an_object(payload, at):
 
 
 def _integer_array_exps(payload, at):
-    payload["exps"] = _exponents(payload)  # the version-2 field under version 3
+    payload["exps"] = _exponents(payload)  # the version-2 field under version 4
 
 
 @pytest.mark.parametrize("corrupt, reason", [
-    (_shorten_exps, "17 exponent bytes of width 1 for 3 coefficients"),
+    (_shorten_exps, "17 exponent bytes for 3 coefficients"),
     (_negative_label, "negative label"),
     (_float_coefficient, "must be integers"),
     (_true_coefficient, "must be integers"),
@@ -354,31 +345,11 @@ def _spaced_exps(payload, at):
     payload["exps"] = exps[:2] + " " + exps[2:]
 
 
-def _zero_width(payload, at):
-    payload["width"] = 0
-
-
-def _true_width(payload, at):
-    payload["width"] = True
-
-
-def _string_width(payload, at):
-    payload["width"] = "1"
-
-
-def _wider_than_needed(payload, at):
-    _set_exponents(payload, _exponents(payload), width=2)
-
-
 @pytest.mark.parametrize("corrupt, reason", [
     (_odd_length_exps, "exps is not a lowercase hex string"),
     (_non_hex_exps, "exps is not a lowercase hex string"),
     (_uppercase_exps, "exps is not a lowercase hex string"),
     (_spaced_exps, "exps is not a lowercase hex string"),
-    (_zero_width, "width 0 is not a positive integer"),
-    (_true_width, "width True is not a positive integer"),
-    (_string_width, "width '1' is not a positive integer"),
-    (_wider_than_needed, "width 2 is wider than the largest exponent needs"),
 ])
 def test_cache_decoder_reads_only_the_one_encoding(corrupt, reason, isolated_cache,
                                                    capsys, term_index):
@@ -439,14 +410,22 @@ def _v2_annihilator_entry(w, poly):
     return _v2_entry(w, poly, "annihilator")
 
 
+def _v3_entry(w, poly):
+    """The version-3 layout, byte for byte as it was stored: a `width` field
+    before the hex exponents, 1 for every entry a run wrote."""
+    return json.dumps({"weight": list(w), "version": 3, "method": "recursion", "width": 1,
+                       "exps": bytes(x for e in poly.terms for x in e).hex(),
+                       "coefs": list(poly.terms.values())}, separators=(",", ":"))
+
+
 def _float_version_entry(w, poly):
-    """A version-3 entry but for its version, written 3.0."""
+    """A version-4 entry but for its version, written 4.0."""
     entry = json.loads(characters.encode_cache_entry(characters.Character(w, poly, "recursion")))
-    entry["version"] = 3.0
+    entry["version"] = 4.0
     return json.dumps(entry, separators=(",", ":"))
 
 
-@pytest.mark.parametrize("stale", [_v1_entry, _v2_entry, _v2_annihilator_entry,
+@pytest.mark.parametrize("stale", [_v1_entry, _v2_entry, _v2_annihilator_entry, _v3_entry,
                                    _float_version_entry])
 def test_stale_cache_version_is_recomputed(stale, isolated_cache, monkeypatch, capsys):
     expect = {w: character_recursion(w) for w in [(1, 0, 0, 0, 0, 2), (0, 1, 1, 0, 0, 0)]}
@@ -457,7 +436,7 @@ def test_stale_cache_version_is_recomputed(stale, isolated_cache, monkeypatch, c
     w, u = expect
     assert character(w) == expect[w]  # a miss: recomputed and overwritten
     assert main(["cache", "validate"]) == 0  # upgrades the other entry
-    assert characters.CACHE_VERSION == 3
+    assert characters.CACHE_VERSION == 4
     for v, ch in expect.items():
         assert characters.cache_path(v).read_text() == characters.encode_cache_entry(ch)
     characters.clear_memory_cache()

@@ -275,6 +275,15 @@ def test_a_power_budget_error_is_one_short_line(capsys, expression):
     assert len(err.encode()) <= 120 and "9" * 10 not in err and "0" * 10 not in err
 
 
+@pytest.mark.parametrize("labels, count", [
+    ("10001,0,0,0,0,0", "10001"), ("1" + "0" * 29 + ",0,0,0,0,0", "a 30-digit number of"),
+], ids=["10001", "30-digits"])
+def test_a_monomial_over_the_factor_budget_exits_1(capsys, isolated_cache, labels, count):
+    # refused before its factors are listed, as one line, not an OverflowError
+    assert run(capsys, "monomial", labels) == \
+        (1, "", f"error: a monomial needs {count} factors, over the limit of 10000\n")
+
+
 def test_computation_error_exits_1(capsys, isolated_cache, term_index):
     assert main(["char", "2,0,0,0,0,0"]) == 0
     capsys.readouterr()
@@ -330,7 +339,7 @@ def _entry_digests(cache):
     """The entry count, the digest of the entry files by name, and the digest
     of the same entries decoded and rendered again in the version-2 layout
     (flat integer arrays), which the version-2 files hashed to: so only the
-    exponent field changed with version 3."""
+    exponent field changed with version 3, and version 4 only dropped `width`."""
     files, v2 = hashlib.sha256(), hashlib.sha256()
     entries = sorted(cache.glob("chi_*.json"))
     for path in entries:
@@ -349,7 +358,7 @@ def test_cache_entries_written_by_a_cold_job_are_pinned(capsys, isolated_cache):
     code, _, _ = run(capsys, "monomial", "0,0,1,1,0,0")
     assert code == 0
     assert _entry_digests(isolated_cache) == (
-        14, "0066542fd1528b5a629065d49ec91ff405a74893c0d01e43ead3fd9cb4751467",
+        14, "fbfaed418fb1f418c19d78ed1122224d6dcd71c57b47a4b3737badabc4783c5e",
         "ebc86e4a5611ec4acc06b2846666b3ffb19d64b389bdb5b7063ada70e4b2696b")
 
 
@@ -361,7 +370,7 @@ def test_the_cold_monomial_job_is_pinned(capsys, isolated_cache):
     code, out, _ = run(capsys, "monomial", "0,0,0,5,0,0", "--json")
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == expect
     assert _entry_digests(isolated_cache) == (
-        633, "c593ab7ce6388c77bd5b086bc6f6273bfd2fbe50b42dcc77c7c523ca9ced6c93",
+        633, "101f37fb3e31db0e8fb58133010a5c1ea0e87ca89a5be63b573e35be49b4b8ce",
         "da7c8f1e4990bbf6d3f7e1e36680ad216530b3c46dc21fc3c0601dc52be89b5b")
     characters.clear_memory_cache()
     code, out, _ = run(capsys, "monomial", "0,0,0,5,0,0", "--json")
@@ -371,7 +380,7 @@ def test_the_cold_monomial_job_is_pinned(capsys, isolated_cache):
 
 
 def test_an_annihilator_entry_of_an_older_run_still_loads(capsys, isolated_cache):
-    # a version-3 entry that records the annihilator, which no command writes
+    # a version-4 entry that records the annihilator, which no command writes
     # now; the ones `char --method=annihilator` once stored are version 2 and
     # read as a miss (test_stale_cache_version_is_recomputed)
     w = (0, 2, 0, 0, 0, 0)
@@ -514,7 +523,7 @@ def test_a_failed_cache_write_gives_one_line(capsys, isolated_cache, monkeypatch
 
 
 def test_a_file_size_limit_gives_one_line(tmp_path):
-    # a real failed write, as under `ulimit -f`: the 206-byte entry of
+    # a real failed write, as under `ulimit -f`: the 207-byte entry of
     # 0,0,0,2,0,0 is over a 100-byte limit, and the write raises EFBIG
     script = ("import resource, sys; resource.setrlimit(resource.RLIMIT_FSIZE, (100, 100)); "
               "from e6cs.cli import main; sys.exit(main(['char', '0,0,0,2,0,0']))")
@@ -525,6 +534,20 @@ def test_a_file_size_limit_gives_one_line(tmp_path):
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == f"error: unusable cache directory {tmp_path}: {os.strerror(errno.EFBIG)}\n"
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_the_engine_names_the_encoding_of_every_file_it_reads_or_writes(tmp_path):
+    # under warn_default_encoding, a text read or write that leaves its
+    # encoding to the locale warns, and the warning is made an error
+    script = "import sys; from e6cs.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = dict(os.environ, PYTHONPATH=str(Path(e6cs.__file__).parents[1]),
+               PYTHONDONTWRITEBYTECODE="1", **{characters.CACHE_ENV: str(tmp_path)})
+    for argv in (["verify", "--suite=all"], ["verify", "--suite=all"],  # cold, then warm
+                 ["tensor", "0,0,1,0,0,0", "0,0,0,1,0,0"], ["cache", "validate"]):
+        proc = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                               "-W", "error::EncodingWarning", "-c", script, *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])

@@ -313,20 +313,17 @@ def test_packed_residuals_agree_with_one_pass_each(data):
 
 
 @pytest.fixture
-def packed_calls(monkeypatch):
-    """The size of each packed chunk, and the eps3 of each polynomial proven
-    alone by shifted_image_x3, in the order they run."""
-    chunks, passes = [], []
-    packed, one_pass = hamiltonian._packed_residuals_vanish, hamiltonian.shifted_image_x3
+def packed_chunks(monkeypatch):
+    """The size of each packed chunk, in the order they run."""
+    chunks = []
+    packed = hamiltonian._packed_residuals_vanish
 
     def counted_packed(chunk, *rest):
         chunks.append(len(chunk))
         return packed(chunk, *rest)
 
     monkeypatch.setattr(hamiltonian, "_packed_residuals_vanish", counted_packed)
-    monkeypatch.setattr(hamiltonian, "shifted_image_x3",
-                        lambda terms, eps3: passes.append(eps3) or one_pass(terms, eps3))
-    return chunks, passes
+    return chunks
 
 
 def _scaled(item, shift):
@@ -334,50 +331,42 @@ def _scaled(item, shift):
     return {e: c << shift for e, c in terms.items()}, eps3
 
 
-def test_packed_residuals_at_the_chunk_edge(packed_calls):
-    chunks, passes = packed_calls
+def test_packed_residuals_at_the_chunk_edge(packed_chunks):
     assert hamiltonian._CHUNK == 64
     items = [_eigenpair(w) for w in DEGREE_4 if 2 <= sum(w) <= 3][:65]
     terms, eps3 = items[-1]
     broken = (_sigma_swapped(terms) or _bumped(terms, next(iter(terms))), eps3)
     for size, shape in ((64, [64]), (65, [64, 1])):
-        chunks.clear()
+        packed_chunks.clear()
         assert hamiltonian.residuals_vanish(items[:size]) is True
-        assert chunks == shape
+        assert packed_chunks == shape
         # the last member alone is wrong: the last chunk, or the only one
         assert hamiltonian.residuals_vanish(items[:size - 1] + [broken]) is False
         assert hamiltonian.residuals_vanish([broken] + items[1:size]) is False
-    assert passes == []
     assert hamiltonian.residuals_vanish([]) is True
 
 
-def test_packed_residuals_of_a_member_with_coefficients_over_2_31(packed_calls):
+def test_packed_residuals_of_a_member_with_coefficients_over_2_31(packed_chunks):
     # 2**31 times a character is an eigenfunction whose coefficients need
     # digits wider than 32 bits: the payment's width grows, and it is packed
     # with the small member in one chunk
-    chunks, passes = packed_calls
     terms, eps3 = _eigenpair((0, 1, 0, 0, 1, 0))
     big = {e: c << 31 for e, c in terms.items()}
     small = _eigenpair((1, 0, 0, 0, 0, 1))
     assert hamiltonian.residuals_vanish([small, (big, eps3)]) is True
-    assert (chunks, passes) == ([2], [])
+    assert packed_chunks == [2]
     e = next(e for e in big if e != (0, 1, 0, 0, 1, 0))
     assert hamiltonian.residuals_vanish([small, (_bumped(big, e), eps3)]) is False
-    # the packed pass alone, with no fallback, for the same characters
-    passes.clear()
-    assert hamiltonian.residuals_vanish([small, (terms, eps3)]) is True
-    assert passes == []
 
 
-def test_packed_residuals_of_small_and_large_members_in_one_payment(packed_calls):
+def test_packed_residuals_of_small_and_large_members_in_one_payment(packed_chunks):
     # members of 2**0, 2**31 and 2**70 times a character, interleaved in one
     # payment: all are packed in one chunk, and a fault in any member is found
-    chunks, passes = packed_calls
     pairs = [_eigenpair(w) for w in [(1, 1, 0, 0, 0, 0), (2, 0, 0, 0, 0, 1),
                                      (0, 2, 0, 0, 0, 0), (1, 0, 1, 0, 0, 0)]]
     items = [pairs[0], _scaled(pairs[1], 31), _scaled(pairs[2], 70), pairs[3]]
     assert hamiltonian.residuals_vanish(items) is True
-    assert (chunks, passes) == ([4], [])
+    assert packed_chunks == [4]
     for k, (terms, eps3) in enumerate(items):
         broken = items[:k] + [(_bumped(terms, next(iter(terms))), eps3)] + items[k + 1:]
         assert hamiltonian.residuals_vanish(broken) is _one_pass_each(broken) is False

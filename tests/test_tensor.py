@@ -286,6 +286,25 @@ def test_an_owed_proof_is_named_before_a_later_corrupt_hit(warm_scaleup, term_in
         characters.character(LATER)
 
 
+def test_a_hit_that_fails_its_dimension_check_is_not_paid_into_the_memory_tier(warm_scaleup):
+    # chi(SWAPPED) + chi(sigma(SWAPPED)) is monic, integral and an eigenfunction
+    # of SWAPPED's eigenvalue, with twice its dimension: the peel rejects the
+    # entry, and the payment when the peel ends must not admit it
+    stored = characters.cache_path(SWAPPED)
+    pair = [characters.decode_cache_entry(characters.cache_path(w).read_text()).poly
+            for w in (SWAPPED, lattice.conjugate(SWAPPED))]
+    doubled = pair[0] + pair[1]
+    stored.write_text(characters.encode_cache_entry(Character(SWAPPED, doubled, "recursion")))
+    dim = lattice.weyl_dimension(SWAPPED)
+    message = (f"invalid cache entry {stored}: character of {SWAPPED} evaluates to {2 * dim}, "
+               f"expected the Weyl dimension {dim}")
+    with pytest.raises(CacheCorruptError, match="^" + re.escape(message) + "$"):
+        tensor_decompose(*SCALEUP)
+    assert SWAPPED not in characters._MEMORY
+    with pytest.raises(CacheCorruptError, match="^" + re.escape(message) + "$"):
+        characters.character(SWAPPED)
+
+
 def test_a_hit_inherits_an_owed_proof_only_as_its_exact_sigma_image(warm_scaleup, term_index):
     # the peel reaches SWAPPED before its mate; the swapped mate is not sigma
     # of the owed SWAPPED, so it owes a residual of its own, which fails
