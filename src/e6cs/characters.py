@@ -20,9 +20,8 @@ import os
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
 from itertools import chain
-from math import prod
+from operator import mul
 from pathlib import Path
 
 from . import hamiltonian, lattice
@@ -45,42 +44,45 @@ class Character:
 
 def character_recursion(m) -> Character:
     """Coefficient recursion: walk the support downward from the leading
-    monomial, each coefficient fixed by the eigenvalue gap to the top."""
+    monomial, each coefficient fixed by the eigenvalue gap to the top.
+
+    The walk keeps the ids first reached at each height below the top, takes
+    the highest height left and visits its ids in exponent order, so the
+    terms come in the order (-height, exponent).  A height is complete when
+    it is taken: every term of a row off its diagonal lowers the height (a
+    load check of hamiltonian.parse_tables), so only the ids of the heights
+    already taken reach it, and each id is reached before it is visited."""
     m = lattice._check_dominant(m)
     index = hamiltonian.exponent_index()
     exps, heights, eps3 = index.exps, index.heights, index.eps3
     top = index.id(m)
-    top_eps3 = eps3[top]
     coeffs: dict[Exponent, int] = {}
     pending: dict[int, int] = {top: 0}  # scaled contributions (x3), by id
-    # (-height, exponent, id), each exponent the index's own tuple, the top's too
-    heap: list[tuple[int, Exponent, int]] = [(-heights[top], exps[top], top)]
-    while heap:
-        _, e, i = heappop(heap)
-        contrib = pending.pop(i)  # each id is pushed once: the operator never raises a weight
-        if i == top:
-            c = 1
-        else:
-            gap = top_eps3 - eps3[i]
-            if gap == 0:
-                raise ZeroDenominatorError(
-                    f"eigenvalue of {e} collides with {m}; operator data is corrupt")
-            c, rem = divmod(contrib, gap)
-            if rem:
-                raise InternalInconsistencyError(
-                    f"non-integer coefficient at {e} while computing the character of {m}")
-            if not c:
-                continue
-        coeffs[e] = c
-        targets, k3s = index.row(i)
-        for t, k3 in zip(targets, k3s):
-            if t == i:
-                continue
-            if t in pending:
-                pending[t] += c * k3
+    reached: dict[int, list[int]] = {heights[top]: [top]}  # ids first reached, by height
+    while reached:
+        for i in sorted(reached.pop(max(reached)), key=exps.__getitem__):
+            contrib = pending.pop(i)
+            if i == top:
+                c = 1
             else:
-                pending[t] = c * k3
-                heappush(heap, (-heights[t], exps[t], t))
+                gap = eps3[top] - eps3[i]
+                if gap == 0:
+                    raise ZeroDenominatorError(
+                        f"eigenvalue of {exps[i]} collides with {m}; operator data is corrupt")
+                c, rem = divmod(contrib, gap)
+                if rem:
+                    raise InternalInconsistencyError(
+                        f"non-integer coefficient at {exps[i]} while computing the character of {m}")
+                if not c:
+                    continue
+            coeffs[exps[i]] = c  # the index's own tuple, the top's too
+            targets, k3s = index.row(i)
+            for t, k3 in zip(targets, k3s):
+                if t in pending:
+                    pending[t] += c * k3
+                elif t != i:  # not the diagonal: i itself has left pending
+                    pending[t] = c * k3
+                    reached.setdefault(heights[t], []).append(t)
     return Character(m, _wrap(coeffs), "recursion")
 
 
@@ -118,20 +120,18 @@ def character_annihilator(m) -> Character:
                      "annihilator")
 
 
-# value of each monomial at lattice.FUNDAMENTAL_DIMENSIONS: the dimension check's memo
-_MONOMIAL_VALUES: dict[Exponent, int] = {}
-
-
 def _dimension(terms: dict[Exponent, int]) -> int:
-    """The integer polynomial with these terms at lattice.FUNDAMENTAL_DIMENSIONS."""
-    total = 0
-    for e, c in terms.items():
-        v = _MONOMIAL_VALUES.get(e)
-        if v is None:
-            v = _MONOMIAL_VALUES[e] = prod(
-                b ** x for b, x in zip(lattice.FUNDAMENTAL_DIMENSIONS, e))
-        total += c * v
-    return total
+    """The integer polynomial with these terms at lattice.FUNDAMENTAL_DIMENSIONS:
+    the sum of each coefficient times its exponent's value in the exponent
+    index.  Every term the recursion, the annihilator or the cache decoder
+    keeps is registered already, so the ids are read with no call per term;
+    a term built elsewhere, as by a test, is registered here."""
+    index = hamiltonian.exponent_index()
+    values, ids = index.values, index.ids
+    try:
+        return sum(map(mul, terms.values(), map(values.__getitem__, map(ids.__getitem__, terms))))
+    except KeyError:
+        return sum(c * values[index.id(e)] for e, c in terms.items())
 
 
 # the eigenfunction proofs a peel still owes, by weight: (character, eps3), or

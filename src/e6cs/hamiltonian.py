@@ -29,18 +29,20 @@ eigenfunction of eigenvalue eps_w to one of the same eigenvalue eps_sigma(w).
 
 The first time the operator meets an exponent, an ExponentIndex gives it a
 small integer id.  Indexed by that id, the index holds the exponent, its
-weight height, 3 times its eigenvalue and its row: the image under 3*Delta
-as a tuple of target ids and a tuple of integer coefficients.  The row is
-built once from the kernel, with a check that its diagonal coefficient is
-the eigenvalue.  The hot loops (the character recursion, the eigenfunction
-check and the annihilator) run over ids and map back to exponents at the
-end.  The annihilator and the one-pass eigenfunction check share one sparse
-scatter of (3*Delta - eps3), _shifted_image_ids; shifted_image_x3 is its
-exponent-keyed view, and image_x3 that of one row.  residuals_vanish proves
-the eigenfunction identity of up to 64 polynomials in one pass over the
-rows, their coefficients packed as the digits of one integer per exponent,
-each digit as wide as the largest residual bound of the payment needs, so
-every polynomial is packed, whatever its size.
+weight height, 3 times its eigenvalue, its monomial value at
+lattice.FUNDAMENTAL_DIMENSIONS (the dimension check's term) and its row: the
+image under 3*Delta as a tuple of target ids and a tuple of integer
+coefficients.  The row is built once from the kernel, with a check that its
+diagonal coefficient is the eigenvalue.  The hot loops (the character
+recursion, the eigenfunction check and the annihilator) run over ids and map
+back to exponents at the end.  The annihilator and the one-pass
+eigenfunction check share one sparse scatter of (3*Delta - eps3),
+_shifted_image_ids; shifted_image_x3 is its exponent-keyed view, and
+image_x3 that of one row.  residuals_vanish proves the eigenfunction
+identity of up to 64 polynomials in one pass over the rows, their
+coefficients packed as the digits of one integer per exponent, each digit as
+wide as the largest residual bound of the payment needs, so every polynomial
+is packed, whatever its size.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from importlib import resources
+from math import prod
 from typing import Sequence, Union
 
 from . import lattice
@@ -68,8 +71,7 @@ def eigenvalue(m: Sequence[int], kappa: Rational = 1) -> Rational:
 
 def eigenvalue_x3(m: Sequence[int]) -> int:
     """3 * eigenvalue(m, 1) as a plain int, for the integer kernel."""
-    index = _INDEX
-    return index.eps3[index.id(lattice.check_labels(m))]
+    return _INDEX.eps3[_INDEX.id(lattice.check_labels(m))]
 
 
 def energy(m: Sequence[int], kappa: Rational = 1) -> tuple[Rational, Rational]:
@@ -184,16 +186,20 @@ Row = tuple[tuple[int, ...], tuple[int, ...]]  # target ids, coefficients
 
 class ExponentIndex:
     """Every exponent met so far, numbered 0, 1, 2, ... in order of first
-    sight, with its height, 3 * eigenvalue and row under 3*Delta by id.
-    Rows keep the order in which the kernel produces their terms.  `exps`
-    holds the process's one tuple per exponent: the character recursion and
-    the cache decoder key every term they keep by it."""
+    sight, with its height, 3 * eigenvalue, value and row under 3*Delta by
+    id.  An exponent's value is its monomial at
+    lattice.FUNDAMENTAL_DIMENSIONS, which the dimension check sums.  All but
+    the row are set when the exponent is registered; rows keep the order in
+    which the kernel produces their terms.  `exps` holds the process's one
+    tuple per exponent: the character recursion and the cache decoder key
+    every term they keep by it, so `ids` finds their terms without a call."""
 
     def __init__(self) -> None:
         self.ids: dict[Exponent, int] = {}
         self.exps: list[Exponent] = []
         self.heights: list[int] = []
         self.eps3: list[int] = []
+        self.values: list[int] = []
         self.rows: list[Row | None] = []
 
     def id(self, exp: Exponent) -> int:
@@ -205,6 +211,7 @@ class ExponentIndex:
             self.exps.append(exp)
             self.heights.append(lattice.weight_height(exp))
             self.eps3.append(lattice.eps3(exp))
+            self.values.append(prod(map(pow, lattice.FUNDAMENTAL_DIMENSIONS, exp)))
             self.rows.append(None)
         return i
 

@@ -459,25 +459,57 @@ def test_dims_sweep_proves_an_entry_that_differs_from_the_memory_tier(isolated_c
     assert "not an eigenfunction" in out
 
 
+@pytest.mark.parametrize("later", ["unreadable", "stale"])
+def test_cache_validate_names_the_first_corrupt_entry_in_name_order(later, isolated_cache,
+                                                                     capsys, term_index):
+    # chi_2-0-0-0-0-0.json fails only its eigenfunction proof, which `cache
+    # validate` owes; the entry after it fails at its load, or is a miss that
+    # pays what is owed before it is recomputed.  Either way the first is named.
+    first, second = (2, 0, 0, 0, 0, 0), (3, 0, 0, 0, 0, 0)
+    for w in (first, second):
+        character(w)
+    path, later_path = characters.cache_path(first), characters.cache_path(second)
+    payload = json.loads(path.read_text())
+    _same_dimension_non_eigenfunction(payload, term_index)
+    path.write_text(json.dumps(payload))
+    stale = json.dumps({**json.loads(later_path.read_text()), "version": 3})
+    later_path.write_text("[]" if later == "unreadable" else stale)
+    characters.clear_memory_cache()
+    with pytest.raises(CacheCorruptError, match=re.escape(str(path))) as info:
+        character(first)
+    assert main(["cache", "validate"]) == 1
+    assert capsys.readouterr().err == f"error: {info.value}\n"
+    if later == "stale":
+        assert later_path.read_text() == stale  # not recomputed
+        assert second not in characters._MEMORY
+
+
 def test_dims_sweep_does_not_prove_again_what_this_process_stored(isolated_cache, monkeypatch):
     weights = [(2, 0, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0)]  # neither is the other's mate
     for w in weights:
         character(w)
-    residual_passes = []
-    shifted_image_x3 = hamiltonian.shifted_image_x3
+    residual_passes, payments = [], []
+    shifted_image_x3, residuals_vanish = hamiltonian.shifted_image_x3, hamiltonian.residuals_vanish
 
     def counted(terms, shift3):
         residual_passes.append(dict(terms))
         return shifted_image_x3(terms, shift3)
 
+    def counted_payment(items):
+        payments.append([terms for terms, _ in items])
+        return residuals_vanish(items)
+
     monkeypatch.setattr(hamiltonian, "shifted_image_x3", counted)
+    monkeypatch.setattr(hamiltonian, "residuals_vanish", counted_payment)
     dims = {c.name: c.ok for c in verify.suite_dims()}
     assert all(dims.values()) and "cached entries swept: 2" in dims
-    assert residual_passes == []
-    # `cache validate` empties the memory tier first, so it proves every entry
+    assert residual_passes == payments == []
+    # `cache validate` empties the memory tier first, so it proves every
+    # entry, all of them in one packed payment and none alone
     assert main(["cache", "validate"]) == 0
-    assert residual_passes == [characters._MEMORY[w].poly.terms  # in entry-name order
-                               for w in sorted(weights)]
+    assert residual_passes == []
+    assert payments == [[characters._MEMORY[w].poly.terms  # in entry-name order
+                         for w in sorted(weights)]]
 
 
 def test_verify_renders_polynomials_only_for_a_failed_check(monkeypatch):
@@ -508,7 +540,7 @@ def test_verify_names_a_character_that_fails_its_invariants(monkeypatch):
     assert check.detail.startswith(f"character of {w} is not an eigenfunction")
 
 
-def test_validation_failures_name_the_fault(monkeypatch):
+def test_validation_failures_name_the_fault(monkeypatch, fresh_index):
     w = (1, 0, 0, 0, 0, 2)
     ch = character_recursion(w)
     bumped = dict(ch.poly.terms)
@@ -522,6 +554,14 @@ def test_validation_failures_name_the_fault(monkeypatch):
     with pytest.raises(InternalInconsistencyError,
                        match=re.escape(f"character of {w} has non-integer coefficients")):
         validate_character(halved)
+    # z1*z6 - z2 without its constant term; with a ledger its residual pass
+    # waits, so on an empty index the dimension check meets its terms first
+    short = SparsePolynomial({(1, 0, 0, 0, 0, 1): 1, (0, 1, 0, 0, 0, 0): -1})
+    with fresh_index() as index:
+        with pytest.raises(InternalInconsistencyError,
+                           match=r"evaluates to 651, expected the Weyl dimension 650\b"):
+            validate_character(characters.Character((1, 0, 0, 0, 0, 1), short, "recursion"), {})
+        assert index.exps == list(short.terms)
     monkeypatch.setattr(lattice, "weyl_dimension", lambda m: 1)
     with pytest.raises(InternalInconsistencyError,
                        match=r"evaluates to 27, expected the Weyl dimension 1\b"):
@@ -618,6 +658,36 @@ def test_annihilator_detects_degenerate_scale(fresh_index):
         index.eps3[:] = [lead] * len(index.eps3)
         with pytest.raises(DegenerateScaleError):
             character_annihilator(w)
+
+
+def test_an_interrupted_store_removes_its_temporary_file(isolated_cache, monkeypatch):
+    # an exception that is not an OSError, between mkstemp and the rename,
+    # is raised again unchanged, and neither the entry nor its *.tmp is left
+    interrupt = KeyboardInterrupt()
+
+    def interrupted(src, dst):
+        raise interrupt
+
+    monkeypatch.setattr(characters.os, "replace", interrupted)
+    with pytest.raises(KeyboardInterrupt) as info:
+        character((1, 0, 0, 0, 0, 1))
+    assert info.value is interrupt and info.value.__cause__ is None
+    assert list(isolated_cache.iterdir()) == []
+
+
+@pytest.mark.parametrize("env, expect", [
+    ({characters.CACHE_ENV: "cache"}, "cache"),
+    ({"XDG_CACHE_HOME": "xdg"}, "xdg/e6cs"),
+    ({characters.CACHE_ENV: "", "XDG_CACHE_HOME": ""}, "home/.cache/e6cs"),
+    ({}, "home/.cache/e6cs"),
+], ids=["cache-env", "xdg", "empty", "home"])
+def test_cache_dir_follows_the_environment(env, expect, tmp_path, monkeypatch):
+    monkeypatch.delenv(characters.CACHE_ENV)
+    monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    for name, value in env.items():
+        monkeypatch.setenv(name, value and str(tmp_path / value))
+    assert characters.cache_dir() == tmp_path / expect
 
 
 def test_store_survives_cache_clear_between_write_and_rename(isolated_cache, monkeypatch):

@@ -405,11 +405,16 @@ def test_verify_dims_suite_vacuous_on_empty_cache(capsys, isolated_cache):
     assert "cached entries swept: 0" in out
 
 
-def test_cache_admin(capsys, isolated_cache):
+def test_cache_admin(capsys, isolated_cache, monkeypatch):
+    # a directory that is not there yet lists as empty; the first store makes it
+    directory = isolated_cache / "new"
+    monkeypatch.setenv(characters.CACHE_ENV, str(directory))
+    assert run(capsys, "cache", "info") == (0, f"cache directory: {directory}\nentries: 0\n", "")
+    assert not directory.exists()
     run(capsys, "char", "1,0,0,0,0,1")
     code, out, _ = run(capsys, "cache", "info")
     assert code == 0
-    assert str(isolated_cache) in out and "entries: 1" in out
+    assert str(directory) in out and "entries: 1" in out
     code, out, _ = run(capsys, "cache", "validate")
     assert code == 0 and "validated 1" in out
     code, out, _ = run(capsys, "cache", "clear")

@@ -174,6 +174,8 @@ def test_parser_error_messages_are_pinned(text, message):
 def test_parser_rational_and_parentheses():
     assert parse_polynomial("1/3*(z1 - z2)^2") == \
         parse_polynomial("1/3*z1^2 - 2/3*z1*z2 + 1/3*z2^2")
+    # whitespace after the last token ends the input
+    assert parse_polynomial("z1 ") == parse_polynomial(" ( z1 )\t\n") == z(1)
 
 
 @pytest.mark.parametrize("build, fault", [
