@@ -18,11 +18,12 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import mul
 from pathlib import Path
+from typing import Iterator
 
 from . import hamiltonian, lattice
 from .errors import (CacheCorruptError, CacheDirectoryError, DegenerateScaleError,
@@ -56,6 +57,7 @@ def character_recursion(m) -> Character:
     index = hamiltonian.exponent_index()
     exps, heights, eps3 = index.exps, index.heights, index.eps3
     top = index.id(m)
+    top_eps3 = eps3[top]
     coeffs: dict[Exponent, int] = {}
     pending: dict[int, int] = {top: 0}  # scaled contributions (x3), by id
     reached: dict[int, list[int]] = {heights[top]: [top]}  # ids first reached, by height
@@ -65,7 +67,7 @@ def character_recursion(m) -> Character:
             if i == top:
                 c = 1
             else:
-                gap = eps3[top] - eps3[i]
+                gap = top_eps3 - eps3[i]
                 if gap == 0:
                     raise ZeroDenominatorError(
                         f"eigenvalue of {exps[i]} collides with {m}; operator data is corrupt")
@@ -123,19 +125,13 @@ def character_annihilator(m) -> Character:
 def _dimension(terms: dict[Exponent, int]) -> int:
     """The integer polynomial with these terms at lattice.FUNDAMENTAL_DIMENSIONS:
     the sum of each coefficient times its exponent's value in the exponent
-    index.  Every term the recursion, the annihilator or the cache decoder
-    keeps is registered already, so the ids are read with no call per term;
-    a term built elsewhere, as by a test, is registered here."""
+    index, which registers any term it has not met."""
     index = hamiltonian.exponent_index()
-    values, ids = index.values, index.ids
-    try:
-        return sum(map(mul, terms.values(), map(values.__getitem__, map(ids.__getitem__, terms))))
-    except KeyError:
-        return sum(c * values[index.id(e)] for e, c in terms.items())
+    return sum(c * index.values[index.id(e)] for e, c in terms.items())
 
 
-# the eigenfunction proofs a peel still owes, by weight: (character, eps3), or
-# (character, None) for the exact sigma image of an owed mate
+# the eigenfunction proofs still owed in a block under owing(), by weight:
+# (character, eps3), or (character, None) for the exact sigma image of an owed mate
 Owed = dict[lattice.Vec, tuple[Character, int | None]]
 
 
@@ -154,7 +150,7 @@ def validate_character(ch: Character, owed: Owed | None = None) -> None:
     import check of lattice).  Any other polynomial gets the residual pass,
     computed term by term, which must vanish.
 
-    With owed, the proofs a peel still owes, the residual pass is not run
+    With owed, the ledger of an owing() block, the residual pass is not run
     but owed: owed[w] becomes (ch, eps3), or (ch, None) when ch is exactly
     sigma of an owed mate, whose proof it will inherit.  Either way ch is not
     proven until pay_owed runs, and its caller keeps it out of _MEMORY.  The
@@ -214,6 +210,20 @@ def pay_owed(owed: Owed) -> None:
             except InternalInconsistencyError as exc:
                 raise _invalid(cache_path(ch.weight), exc) from exc
     _MEMORY.update((ch.weight, ch) for ch, _ in proven)
+
+
+@contextmanager
+def owing() -> Iterator[Owed]:
+    """A ledger for the lookups of one block, as character(m, owed) takes
+    it, paid by pay_owed when the block ends, however it ends: an error that
+    leaves the block still names an earlier corrupt entry first, as its load
+    would have, and characters whose payment succeeds enter _MEMORY even if
+    the block then fails."""
+    owed: Owed = {}
+    try:
+        yield owed
+    finally:
+        pay_owed(owed)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ import os
 import sys
 
 from . import hamiltonian, lattice, tensor, verify
-from .characters import (Owed, cache_dir, cache_entries, cache_key, character,
-                         character_to_json, clear_cache, clear_memory_cache, pay_owed)
+from .characters import (cache_dir, cache_entries, cache_key, character, character_to_json,
+                         clear_cache, clear_memory_cache, owing)
 from .errors import E6CSError
 from .ring import Coef, PolynomialSyntaxError, coef_from_str, coef_to_str, parse_polynomial
 
@@ -136,15 +136,9 @@ def _cmd_cache(args) -> None:
     else:  # validate: reload every entry through the invariant checks
         clear_memory_cache()
         entries = cache_entries()
-        # the entries prove their eigenfunction identity together, as a peel's
-        # hits do: paid however the loop ends, so the first corrupt entry in
-        # name order is the one named
-        owed: Owed = {}
-        try:
+        with owing() as owed:  # one packed proof, as a peel's hits have
             for path in entries:
                 character(cache_key(path), owed)
-        finally:
-            pay_owed(owed)
         print(f"validated {len(entries)} entries in {directory}")
 
 

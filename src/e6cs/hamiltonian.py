@@ -71,7 +71,8 @@ def eigenvalue(m: Sequence[int], kappa: Rational = 1) -> Rational:
 
 def eigenvalue_x3(m: Sequence[int]) -> int:
     """3 * eigenvalue(m, 1) as a plain int, for the integer kernel."""
-    return _INDEX.eps3[_INDEX.id(lattice.check_labels(m))]
+    index = _INDEX
+    return index.eps3[index.id(lattice.check_labels(m))]
 
 
 def energy(m: Sequence[int], kappa: Rational = 1) -> tuple[Rational, Rational]:
@@ -192,7 +193,7 @@ class ExponentIndex:
     the row are set when the exponent is registered; rows keep the order in
     which the kernel produces their terms.  `exps` holds the process's one
     tuple per exponent: the character recursion and the cache decoder key
-    every term they keep by it, so `ids` finds their terms without a call."""
+    every term they keep by it."""
 
     def __init__(self) -> None:
         self.ids: dict[Exponent, int] = {}

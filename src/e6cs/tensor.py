@@ -18,7 +18,7 @@ from math import prod
 from typing import Sequence
 
 from . import lattice
-from .characters import Owed, character, pay_owed
+from .characters import character, owing
 from .errors import (InternalInconsistencyError, NegativeMultiplicityError,
                      NonzeroResidualError)
 from .ring import SparsePolynomial, _check_budget
@@ -68,16 +68,13 @@ class CGSeries:
 def _peel(product: SparsePolynomial, factors: tuple[lattice.Vec, ...]) -> CGSeries:
     """Peel product into the characters of the dominant weights below the
     top of factors, then prove the series.  The eigenfunction proofs of the
-    cache hits are owed, and paid when the loop ends, however it ends: an
-    error that leaves the loop still names an earlier corrupt entry first,
-    as its load would have, and characters whose payment succeeds enter the
-    memory tier even if the peel then fails."""
+    cache hits are owed to one ledger (characters.owing), paid when the
+    loop ends, however it ends."""
     top = _top(factors)
     residual = dict(product.terms)
     out: dict[lattice.Vec, int] = {}
     # the proofs this peel owes; character pays them before a miss computes
-    owed: Owed = {}
-    try:
+    with owing() as owed:
         for mu in lattice.dominant_weights_below(top):
             c = residual.get(mu, 0)
             if not c:
@@ -92,8 +89,6 @@ def _peel(product: SparsePolynomial, factors: tuple[lattice.Vec, ...]) -> CGSeri
                     residual[e] = s
                 else:
                     residual.pop(e, None)
-    finally:
-        pay_owed(owed)
     if residual:
         raise NonzeroResidualError(
             f"residual has {len(residual)} terms after peeling {' x '.join(map(str, factors))}")

@@ -516,14 +516,25 @@ def test_unusable_cache_directory_is_named(capsys, tmp_path, monkeypatch, argv, 
     assert err.count("\n") == 1 and "chi_" not in err
 
 
-def test_a_failed_cache_write_gives_one_line(capsys, isolated_cache, monkeypatch):
-    # a full disk or a quota fails the store's rename; its tmp file is removed
-    def no_space(src, dst):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-    monkeypatch.setattr(os, "replace", no_space)
-    code, out, err = run(capsys, "char", "1,0,0,0,0,0")
-    assert (code, out) == (1, "")
-    assert err == f"error: unusable cache directory {isolated_cache}: {os.strerror(errno.ENOSPC)}\n"
+@pytest.mark.parametrize("fault", [
+    OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+    KeyboardInterrupt(),
+], ids=["no-space", "interrupt"])
+def test_a_failed_cache_write_gives_one_line(fault, capsys, isolated_cache, monkeypatch):
+    # a full disk or a quota fails the store's rename with one error line;
+    # another exception there, as an interrupt, is raised again unchanged.
+    # Either way the tmp file is removed and no entry is published
+    def failing(src, dst):
+        raise fault
+    monkeypatch.setattr(os, "replace", failing)
+    if isinstance(fault, OSError):
+        code, out, err = run(capsys, "char", "1,0,0,0,0,0")
+        assert (code, out) == (1, "")
+        assert err == f"error: unusable cache directory {isolated_cache}: {os.strerror(errno.ENOSPC)}\n"
+    else:
+        with pytest.raises(KeyboardInterrupt) as info:
+            main(["char", "1,0,0,0,0,0"])
+        assert info.value is fault and info.value.__cause__ is None
     assert list(isolated_cache.iterdir()) == []
 
 
