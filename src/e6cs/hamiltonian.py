@@ -35,14 +35,14 @@ image under 3*Delta as a tuple of target ids and a tuple of integer
 coefficients.  The row is built once from the kernel, with a check that its
 diagonal coefficient is the eigenvalue.  The hot loops (the character
 recursion, the eigenfunction check and the annihilator) run over ids and map
-back to exponents at the end.  The annihilator and the one-pass
-eigenfunction check share one sparse scatter of (3*Delta - eps3),
+back to exponents at the end.  The annihilator and the one-pass and packed
+eigenfunction checks share one sparse scatter of (3*Delta - eps3),
 _shifted_image_ids; shifted_image_x3 is its exponent-keyed view, and
 image_x3 that of one row.  residuals_vanish proves the eigenfunction
-identity of up to 64 polynomials in one pass over the rows, their
-coefficients packed as the digits of one integer per exponent, each digit as
-wide as the largest residual bound of the payment needs, so every polynomial
-is packed, whatever its size.
+identity of up to 64 polynomials in one such scatter, their coefficients
+packed as the digits of one integer per exponent, each digit as wide as the
+largest residual bound of that chunk of 64 needs, so every polynomial is
+packed, whatever its size.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from importlib import resources
+from itertools import chain
 from math import prod
 from typing import Sequence, Union
 
@@ -262,9 +263,8 @@ def image_x3(exp: Sequence[int]) -> dict[Exponent, int]:
 def _shifted_image_ids(poly: dict[int, Coef], eps3: int) -> dict[int, Coef]:
     """(3*Delta - eps3) applied to the polynomial with these terms by exponent
     id, as a map of id -> coefficient that may hold zeros.  Every term's row
-    is built before any is applied.  The packed pass of residuals_vanish keeps
-    a row loop of its own, which builds no map of its packed ints and so
-    holds less memory at its peak."""
+    is built before any is applied.  The coefficients may be plain or packed
+    ints: residuals_vanish scatters each chunk of polynomials through here."""
     row = _INDEX.row
     images = [(c, row(i)) for i, c in poly.items()]
     acc = {i: -eps3 * c for i, c in poly.items()}
@@ -296,53 +296,43 @@ _CHUNK = 64  # polynomials packed into the digits of one integer per exponent
 def residuals_vanish(items: Sequence[tuple[dict[Exponent, int], int]]) -> bool:
     """True when (3*Delta - eps3) p = 0 for every (terms, eps3) of items, each
     p having integer coefficients: the verdict of shifted_image_x3 on each,
-    reached _CHUNK polynomials at a time.
+    reached _CHUNK polynomials at a time, each chunk packed and proved on its
+    own by _chunk_vanishes.
 
     In a chunk, polynomial k's coefficient under one exponent is digit k, of
-    width bits, of one int, and its eps3 multiple that of another, so each
-    row is scattered once, as big-integer multiply-adds, for the whole chunk.
-    The residual is linear in the polynomial, so the packed residual under
-    each exponent is the sum of r_k * 2**(width * k) over the chunk's
-    residuals r_k there.  The width is the bit length of the largest bound
-    sum |c| * (widest + |eps3| + 1) over the items, widest being the largest
-    row abs sum over all the items' exponents; each |r_k| is below that
-    bound, so below 2**width.  Then the sum is 0 only if every r_k is: the
-    lowest nonzero r_j would survive modulo 2**(width * (j + 1)).  The
-    exponents, their rows, the width and the largest row sum are worked out
-    once for all the items."""
-    index = _INDEX
-    exps: dict[Exponent, None] = {}  # every exponent of the items, once
-    for terms, _ in items:
-        exps.update(dict.fromkeys(terms))
-    ids = list(map(index.id, exps))
-    rows = list(map(index.row, ids))
-    widest = max((sum(map(abs, coefs)) for _, coefs in rows), default=0)
-    width = max((sum(map(abs, terms.values())) * (widest + abs(eps3) + 1)
-                 for terms, eps3 in items), default=0).bit_length()
-    column = dict(zip(exps, range(len(ids))))
-    return all(_packed_residuals_vanish(items[start:start + _CHUNK], width, column, ids, rows)
+    width bits, of one int, and its eps3 multiple that of another, so
+    _shifted_image_ids scatters each row once, as big-integer multiply-adds,
+    for the whole chunk.  The residual is linear in the polynomial, so the
+    packed residual under each exponent is the sum of r_k * 2**(width * k)
+    over the chunk's residuals r_k there.  The width is the bit length of the
+    largest bound sum |c| * (widest + |eps3| + 1) over the chunk's items,
+    widest being the largest row abs sum over the chunk's exponents; each
+    |r_k| is below its own bound, so below 2**width.  Then the sum is 0 only
+    if every r_k is: the lowest nonzero r_j would survive modulo
+    2**(width * (j + 1)).  Each chunk works out its own exponents, widest and
+    width, as its residual digits are bounded by its own items alone."""
+    return all(_chunk_vanishes(items[start:start + _CHUNK])
                for start in range(0, len(items), _CHUNK))
 
 
-def _packed_residuals_vanish(chunk: Sequence[tuple[dict[Exponent, int], int]], width: int,
-                             column: dict[Exponent, int], ids: list[int],
-                             rows: list[Row]) -> bool:
-    # the packed coefficients and eps3 multiples under the exponent in column p
-    packed_coefs, packed_eps = [0] * len(ids), [0] * len(ids)
+def _chunk_vanishes(chunk: Sequence[tuple[dict[Exponent, int], int]]) -> bool:
+    index = _INDEX
+    exps = dict.fromkeys(chain.from_iterable(terms for terms, _ in chunk))
+    ids = dict(zip(exps, map(index.id, exps)))
+    widest = max((sum(map(abs, index.row(i)[1])) for i in ids.values()), default=0)
+    width = max(sum(map(abs, terms.values())) * (widest + abs(eps3) + 1)
+                for terms, eps3 in chunk).bit_length()
+    packed, packed_eps = dict.fromkeys(ids.values(), 0), dict.fromkeys(ids.values(), 0)
     # the highest digit first, so each int is allocated at nearly its full
     # size once instead of growing through every size on the way up, which
     # raised peak memory
     for k in reversed(range(len(chunk))):
         terms, eps3 = chunk[k]
         shift = width * k
-        for p, c in zip(map(column.__getitem__, terms), terms.values()):
-            packed_coefs[p] += c << shift
-            packed_eps[p] += eps3 * c << shift
-    acc: dict[int, int] = {}
-    get = acc.get
-    for i, packed, eps, (targets, coefs) in zip(ids, packed_coefs, packed_eps, rows):
-        # -eps3 times each polynomial's term here, then the term's row under 3*Delta
-        acc[i] = get(i, 0) - eps
-        for t, k3 in zip(targets, coefs):
-            acc[t] = get(t, 0) + packed * k3
+        for i, c in zip(map(ids.__getitem__, terms), terms.values()):
+            packed[i] += c << shift
+            packed_eps[i] += eps3 * c << shift
+    acc = _shifted_image_ids(packed, 0)
+    for i, eps in packed_eps.items():
+        acc[i] -= eps
     return not any(acc.values())

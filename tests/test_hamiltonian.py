@@ -316,13 +316,13 @@ def test_packed_residuals_agree_with_one_pass_each(data):
 def packed_chunks(monkeypatch):
     """The size of each packed chunk, in the order they run."""
     chunks = []
-    packed = hamiltonian._packed_residuals_vanish
+    packed = hamiltonian._chunk_vanishes
 
-    def counted_packed(chunk, *rest):
+    def counted_packed(chunk):
         chunks.append(len(chunk))
-        return packed(chunk, *rest)
+        return packed(chunk)
 
-    monkeypatch.setattr(hamiltonian, "_packed_residuals_vanish", counted_packed)
+    monkeypatch.setattr(hamiltonian, "_chunk_vanishes", counted_packed)
     return chunks
 
 
@@ -380,6 +380,18 @@ def test_packed_residuals_do_not_cancel_across_digits():
     e = next(e for e in terms if e != (1, 0, 0, 0, 0, 1))
     for k in range(1, 80):
         items = [(_bumped(terms, e, 1 << k), eps3), (_bumped(terms, e, -1), eps3)]
+        assert hamiltonian.residuals_vanish(items) is False, k
+
+
+def test_packed_residuals_do_not_cancel_across_digits_of_a_later_chunk():
+    # as above, but the bumped pair is 2**70 times a character and fills the
+    # second chunk behind 64 small eigenpairs: the width that chunk works out
+    # from its own members exceeds every k, where the first chunk's would not
+    small = [_eigenpair(w) for w in DEGREE_4 if 2 <= sum(w) <= 3][:64]
+    terms, eps3 = _scaled(_eigenpair((1, 0, 0, 0, 0, 1)), 70)
+    e = next(e for e in terms if e != (1, 0, 0, 0, 0, 1))
+    for k in range(1, 80):
+        items = small + [(_bumped(terms, e, 1 << k), eps3), (_bumped(terms, e, -1), eps3)]
         assert hamiltonian.residuals_vanish(items) is False, k
 
 
