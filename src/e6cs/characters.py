@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import hamiltonian, lattice
 from .errors import (CacheCorruptError, CacheDirectoryError, DegenerateScaleError,
@@ -36,8 +36,7 @@ JSON_VERSION = 1  # of the `char --format json` record, not of the cache
 _TMP_SUFFIX = ".tmp"  # of an entry that _store has not yet published by its rename
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(NamedTuple):
     weight: lattice.Vec
     poly: SparsePolynomial
     method: str  # recursion | annihilator
@@ -387,6 +386,9 @@ def _load(m, owed: Owed | None = None) -> Character | None:
     whether the entry's eigenfunction proof is inherited, or, with owed, owed."""
     path = cache_path(m)
     try:
+        # a FIFO would block the read and a device might never end it
+        if stat.S_IFMT(path.stat().st_mode) not in (stat.S_IFREG, stat.S_IFDIR):
+            raise ValueError("not a regular file")
         ch = decode_cache_entry(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         return None

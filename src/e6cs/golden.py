@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from importlib import resources
+from pathlib import Path
 
 from .lattice import Vec, conjugate, read_keyed
 from .ring import SparsePolynomial
@@ -18,7 +18,7 @@ from .tensor import CGSeries
 
 
 def _read(name: str) -> object:
-    return json.loads(resources.files("e6cs.data").joinpath(name).read_text(encoding="utf-8"))
+    return json.loads((Path(__file__).with_name("data") / name).read_text(encoding="utf-8"))
 
 
 def _characters(name: str) -> dict[Vec, SparsePolynomial]:

@@ -49,19 +49,17 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from importlib import resources
 from itertools import chain
 from math import prod
-from typing import Sequence, Union
+from pathlib import Path
+from typing import Sequence
 
 from . import lattice
 from .errors import InternalInconsistencyError
 from .ring import Coef, Exponent, SparsePolynomial, _norm, _wrap, coef_to_str
 
-Rational = Union[int, Fraction]
 
-
-def eigenvalue(m: Sequence[int], kappa: Rational = 1) -> Rational:
+def eigenvalue(m: Sequence[int], kappa: Coef = 1) -> Coef:
     """Spectrum of the operator on the character labelled by m, exact.
 
     Equals 2(l, l + 2*kappa*rho) for the weight l with Dynkin labels m.
@@ -76,7 +74,7 @@ def eigenvalue_x3(m: Sequence[int]) -> int:
     return index.eps3[index.id(lattice.check_labels(m))]
 
 
-def energy(m: Sequence[int], kappa: Rational = 1) -> tuple[Rational, Rational]:
+def energy(m: Sequence[int], kappa: Coef = 1) -> tuple[Coef, Coef]:
     """(total, ground-state) energy at coupling kappa; total - ground is the
     eigenvalue above."""
     m = lattice.check_labels(m, lattice.RATIONAL)
@@ -175,7 +173,7 @@ def tables() -> Kernel:
     """The kernel of the shipped operator_tables.json, parsed once."""
     global _TABLES
     if _TABLES is None:
-        path = resources.files("e6cs.data").joinpath("operator_tables.json")
+        path = Path(__file__).with_name("data") / "operator_tables.json"
         _TABLES = parse_tables(json.loads(path.read_text(encoding="utf-8")))
     return _TABLES
 

@@ -13,9 +13,8 @@ the peel ends, however it ends, or earlier, before a miss computes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import lattice
 from .characters import character, owing
@@ -29,8 +28,7 @@ def _top(factors: Sequence[Sequence[int]]) -> lattice.Vec:
     return tuple(sum(f[i] for f in factors) for i in range(6))
 
 
-@dataclass(frozen=True)
-class CGSeries:
+class CGSeries(NamedTuple):
     """A tensor-product decomposition: factor weights and term multiplicities."""
 
     factors: tuple[lattice.Vec, ...]

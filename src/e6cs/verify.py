@@ -8,9 +8,8 @@ the first unmet expectation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import golden, hamiltonian, lattice, tensor
 from .characters import (_load, cache_entries, cache_key, character, character_annihilator,
@@ -19,8 +18,7 @@ from .errors import CacheCorruptError, E6CSError
 from .ring import SparsePolynomial
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     ok: bool
     detail: str = ""

@@ -438,7 +438,12 @@ def test_cache_clear_removes_interrupted_store_temporaries(capsys, isolated_cach
 @pytest.mark.parametrize("plant, reason", [
     (lambda path: path.write_text("[" * 100_000), "entry nests too deeply"),
     (lambda path: path.mkdir(), "Is a directory"),
-], ids=["nested", "directory"])
+    # a read would block on a FIFO and never end on /dev/zero
+    pytest.param(lambda path: os.mkfifo(path), "not a regular file",
+                 marks=pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")),
+    pytest.param(lambda path: path.symlink_to("/dev/zero"), "not a regular file",
+                 marks=pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")),
+], ids=["nested", "directory", "fifo", "device"])
 def test_a_hostile_entry_gives_one_line_in_every_reader(capsys, isolated_cache, plant, reason):
     path = characters.cache_path((1, 0, 0, 0, 0, 0))
     plant(path)
