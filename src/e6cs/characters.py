@@ -241,12 +241,18 @@ def cache_path(m) -> Path:
     return cache_dir() / ("chi_" + "-".join(map(str, m)) + ".json")
 
 
-def cache_key(path: Path) -> lattice.Vec:
-    """The weight a cache file is named for; the inverse of cache_path.  Only
-    the name cache_path gives a weight is an entry: leading zeros or digits
-    other than ASCII make a stray file, which no lookup would read."""
+def entry_key(path: Path) -> lattice.Vec | None:
+    """The weight a cache file is named for, the inverse of cache_path; None
+    for a stray file.  Only the name cache_path gives a weight is an entry:
+    leading zeros or digits other than ASCII make a stray file, which no
+    lookup would read."""
     key = lattice.parse_labels(path.stem[len("chi_"):].split("-"))
-    if key is not None and cache_path(key).name == path.name:
+    return key if key is not None and cache_path(key).name == path.name else None
+
+
+def cache_key(path: Path) -> lattice.Vec:
+    """entry_key, or CacheCorruptError for a stray file."""
+    if (key := entry_key(path)) is not None:
         return key
     raise CacheCorruptError(f"stray cache entry {path}: name is not chi_<six labels>.json "
                             "with each label in plain decimal")
@@ -420,14 +426,16 @@ def clear_memory_cache() -> None:
     _MEMORY.clear()
 
 
-def clear_cache() -> tuple[int, int]:
-    """Remove every entry, and every temporary file that a store killed before
-    its rename left behind, then empty the memory tier; return both counts.
-    A file that is already gone, as after a concurrent clear, is not counted."""
-    entries, leftovers = cache_entries(), _listed(cache_dir(), "", _TMP_SUFFIX)
-    counts = sum(map(_remove, entries)), sum(map(_remove, leftovers))
+def clear_cache() -> tuple[list[Path], int]:
+    """Remove every file cache_entries lists, stray files too, and every
+    temporary file that a store killed before its rename left behind, then
+    empty the memory tier; return the listed files removed and the count of
+    temporaries.  A file that is already gone, as after a concurrent clear,
+    is not counted."""
+    listed, leftovers = cache_entries(), _listed(cache_dir(), "", _TMP_SUFFIX)
+    result = [path for path in listed if _remove(path)], sum(map(_remove, leftovers))
     clear_memory_cache()
-    return counts
+    return result
 
 
 def _remove(path: Path) -> bool:

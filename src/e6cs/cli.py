@@ -13,7 +13,7 @@ import sys
 
 from . import hamiltonian, lattice, tensor, verify
 from .characters import (cache_dir, cache_entries, cache_key, character, character_to_json,
-                         clear_cache, clear_memory_cache, owing)
+                         clear_cache, clear_memory_cache, entry_key, owing)
 from .errors import E6CSError
 from .ring import Coef, PolynomialSyntaxError, coef_from_str, coef_to_str, parse_polynomial
 
@@ -125,12 +125,18 @@ def _cmd_verify(args) -> int:
 def _cmd_cache(args) -> None:
     directory = cache_dir()
     if args.action == "info":
-        entries = cache_entries()
+        listed = cache_entries()
+        strays = sum(entry_key(path) is None for path in listed)
         print(f"cache directory: {directory}")
-        print(f"entries: {len(entries)}")
+        print(f"entries: {len(listed) - strays}")
+        if strays:
+            print(f"stray files: {strays}")
     elif args.action == "clear":
-        entries, leftovers = clear_cache()
-        print(f"removed {entries} entries from {directory}")
+        removed, leftovers = clear_cache()
+        strays = sum(entry_key(path) is None for path in removed)
+        print(f"removed {len(removed) - strays} entries from {directory}")
+        if strays:
+            print(f"removed {strays} stray files")
         if leftovers:
             print(f"removed {leftovers} temporary files left by interrupted stores")
     else:  # validate: reload every entry through the invariant checks

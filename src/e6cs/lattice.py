@@ -6,9 +6,11 @@ Vectors are plain 6-tuples of ints.  Two bases are in play throughout:
 * weight basis -- Dynkin labels, coordinates with respect to the fundamental
   weights l1..l6.
 
-The Cartan matrix converts root-basis to weight-basis coordinates; its exact
-rational inverse converts back.  All derived data is rebuilt and self-checked
-at import time rather than hard-coded.
+The Cartan matrix A converts root-basis to weight-basis coordinates; 3 * A^-1
+converts back, in integers.  The positive roots are generated from A, and
+3 * A^-1 and the Weyl vector rho are derived from the roots; exact integer
+checks prove both.  All derived data is rebuilt and self-checked at import
+time rather than hard-coded.
 """
 
 from __future__ import annotations
@@ -33,43 +35,6 @@ CARTAN: tuple[Vec, ...] = (
 )
 
 
-def _invert_exactly(mat: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], ...]:
-    n = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-CARTAN_INVERSE: tuple[tuple[Fraction, ...], ...] = _invert_exactly(CARTAN)
-
-# 3 * A^-1 is integral for E6; the scaled copy keeps hot paths in int arithmetic
-CARTAN_INVERSE_X3: tuple[Vec, ...] = tuple(
-    tuple(int(3 * x) for x in row) for row in CARTAN_INVERSE
-)
-
-for _i in range(6):
-    for _j in range(6):
-        if sum(CARTAN[_i][_k] * CARTAN_INVERSE[_k][_j] for _k in range(6)) != int(_i == _j):
-            raise InternalInconsistencyError("Cartan matrix inverse is wrong")
-        if 3 * CARTAN_INVERSE[_i][_j] != CARTAN_INVERSE_X3[_i][_j]:
-            raise InternalInconsistencyError("Cartan inverse has a denominator not dividing 3")
-
-# rho, the sum of the fundamental weights, in the root basis: the row sums of
-# A^-1, which (A being symmetric) are also the heights of the fundamental weights
-if any(sum(row) % 3 for row in CARTAN_INVERSE_X3):
-    raise InternalInconsistencyError("the Weyl vector is not in the root lattice")
-WEIGHT_HEIGHTS: Vec = tuple(sum(row) // 3 for row in CARTAN_INVERSE_X3)
-
-
 def height(v: Iterable[int]) -> int:
     """Height of a root-basis vector: the sum of its coordinates."""
     return sum(v)
@@ -85,8 +50,13 @@ def fundamental_weight(k: int) -> Vec:
 
 
 def conjugate(w: Sequence[int]) -> Vec:
-    """Apply the diagram symmetry: swap labels 1<->6 and 3<->5."""
-    return (w[5], w[1], w[4], w[3], w[2], w[0])
+    """Apply the diagram symmetry: swap labels 1<->6 and 3<->5.  ValueError
+    unless w has exactly six labels, whose types it does not check."""
+    try:
+        a, b, c, d, e, f = w
+    except ValueError:
+        raise ValueError(f"not a vector of six labels: {tuple(w)}") from None
+    return (f, b, e, d, c, a)
 
 
 def _generate_positive_roots() -> tuple[Vec, ...]:
@@ -116,12 +86,38 @@ def _generate_positive_roots() -> tuple[Vec, ...]:
         hist[height(r)] += 1
     if hist[1:] != [6, 5, 5, 5, 4, 3, 3, 2, 1, 1, 1]:
         raise InternalInconsistencyError(f"positive-root height histogram is wrong: {hist[1:]}")
-    if tuple(sum(r[i] for r in roots) for i in range(6)) != tuple(2 * x for x in WEIGHT_HEIGHTS):
-        raise InternalInconsistencyError("positive roots do not sum to twice the Weyl vector")
     return tuple(roots)
 
 
+def _tables_from_roots(cartan: Sequence[Sequence[int]],
+                       roots: Sequence[Vec]) -> tuple[tuple[Vec, ...], Vec]:
+    """3 * A^-1 and rho in the root basis, derived from the positive roots
+    and each proved by one exact integer check.
+
+    In a simply-laced system with (a, a) = 2, summing over the positive
+    roots gives sum (a, x)(a, y) = h * (x, y), the dual Coxeter number h
+    being 12 for E6.  (a, l_i) is a's i-th root coordinate, so sum a a^T is
+    12 * A^-1 and a quarter of it is X = 3 * A^-1.  The proof does not rest
+    on that identity: A X = 3I holds for no other X.  rho is half the sum of
+    the positive roots; its coordinates are the row sums of A^-1 (A being
+    symmetric, also the heights of the fundamental weights), so the row sums
+    of X must be 3 * rho.  Neither floor division can hide an error, since
+    a table it got wrong fails the check that follows it."""
+    x3 = tuple(tuple(sum(r[i] * r[j] for r in roots) // 4 for j in range(6)) for i in range(6))
+    if any(sum(cartan[i][k] * x3[k][j] for k in range(6)) != 3 * (i == j)
+           for i in range(6) for j in range(6)):
+        raise InternalInconsistencyError("Cartan matrix inverse is wrong")
+    rho = tuple(sum(r[i] for r in roots) // 2 for i in range(6))
+    if tuple(map(sum, x3)) != tuple(3 * x for x in rho):
+        raise InternalInconsistencyError("positive roots do not sum to twice the Weyl vector")
+    return x3, rho
+
+
 _POSITIVE_ROOTS = _generate_positive_roots()
+
+# 3 * A^-1, integral for E6, so that every form stays in int arithmetic; and
+# rho, the sum of the fundamental weights, in the root basis
+CARTAN_INVERSE_X3, WEIGHT_HEIGHTS = _tables_from_roots(CARTAN, _POSITIVE_ROOTS)
 
 _ROOT_HEIGHTS: Vec = tuple(map(height, _POSITIVE_ROOTS))
 _WEYL_DENOMINATOR = prod(_ROOT_HEIGHTS)
@@ -169,8 +165,10 @@ def weyl_vector_in_root_basis() -> Vec:
 def to_root_basis(w: Sequence[int]) -> Vec:
     """Convert Dynkin labels to root-basis coordinates, exactly.
 
-    Raises NonIntegralError if w is not in the root lattice.
+    Raises NonIntegralError if w is not in the root lattice, and ValueError
+    unless w is six int labels (check_labels).
     """
+    w = check_labels(w)
     out = []
     for i in range(6):
         num = sum(CARTAN_INVERSE_X3[i][j] * w[j] for j in range(6))

@@ -56,8 +56,8 @@ def suite_roots() -> list[Check]:
     total_e, ground_e = hamiltonian.energy((0,) * 6, 1)
     checks.append(_check("ground-state energy at kappa=1", ground_e == 156 and total_e == 156,
                          156, (total_e, ground_e)))
-    ident = all(sum(lattice.CARTAN[i][k] * lattice.CARTAN_INVERSE[k][j] for k in range(6))
-                == int(i == j) for i in range(6) for j in range(6))
+    ident = all(sum(lattice.CARTAN[i][k] * lattice.CARTAN_INVERSE_X3[k][j] for k in range(6))
+                == 3 * (i == j) for i in range(6) for j in range(6))
     checks.append(_check("Cartan matrix times inverse is the identity", ident))
     return checks
 

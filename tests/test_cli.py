@@ -435,6 +435,18 @@ def test_cache_clear_removes_interrupted_store_temporaries(capsys, isolated_cach
     assert list(isolated_cache.iterdir()) == []
 
 
+def test_cache_info_and_clear_count_stray_files_apart(capsys, isolated_cache):
+    run(capsys, "char", "1,0,0,0,0,0")
+    entry = characters.cache_path((1, 0, 0, 0, 0, 0))
+    (isolated_cache / "chi_01-0-0-0-0-0.json").write_bytes(entry.read_bytes())
+    (isolated_cache / "chi_x.json").write_text("junk")
+    assert run(capsys, "cache", "info") == (
+        0, f"cache directory: {isolated_cache}\nentries: 1\nstray files: 2\n", "")
+    assert run(capsys, "cache", "clear") == (
+        0, f"removed 1 entries from {isolated_cache}\nremoved 2 stray files\n", "")
+    assert list(isolated_cache.iterdir()) == []
+
+
 @pytest.mark.parametrize("plant, reason", [
     (lambda path: path.write_text("[" * 100_000), "entry nests too deeply"),
     (lambda path: path.mkdir(), "Is a directory"),

@@ -192,7 +192,7 @@ def test_weights_of_the_wrong_length_are_rejected(w):
     size = len(index.exps)
     entry_points = [hamiltonian.eigenvalue, hamiltonian.eigenvalue_x3, hamiltonian.energy,
                     lambda v: lattice.inner_product(v, (1,) * 6),
-                    lambda v: lattice.inner_product((1,) * 6, v),
+                    lambda v: lattice.inner_product((1,) * 6, v), lattice.to_root_basis,
                     lambda v: hamiltonian.apply_delta(SparsePolynomial.monomial(v))]
     for entry in entry_points:
         with pytest.raises(ValueError, match=re.escape(str(w))):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -171,15 +172,30 @@ def test_conjugate():
     assert lattice.conjugate((0, 1, 0, 1, 0, 0)) == (0, 1, 0, 1, 0, 0)
     w = (3, 1, 4, 1, 5, 9)
     assert lattice.conjugate(lattice.conjugate(w)) == w
+    for w in [(1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 5)]:
+        with pytest.raises(ValueError, match=re.escape(f"not a vector of six labels: {w}")):
+            lattice.conjugate(w)
 
 
 def test_cartan_inverse_exact():
     for i in range(6):
         for j in range(6):
-            entry = lattice.CARTAN_INVERSE[i][j]
-            assert entry.denominator in (1, 3)
-            assert sum(lattice.CARTAN[i][k] * lattice.CARTAN_INVERSE[k][j]
-                       for k in range(6)) == int(i == j)
+            assert type(lattice.CARTAN_INVERSE_X3[i][j]) is int
+            assert sum(lattice.CARTAN[i][k] * lattice.CARTAN_INVERSE_X3[k][j]
+                       for k in range(6)) == 3 * (i == j)
+
+
+def test_tables_from_roots_check_what_they_derive():
+    roots = lattice.positive_roots()
+    assert lattice._tables_from_roots(lattice.CARTAN, roots) == (
+        lattice.CARTAN_INVERSE_X3, RHO)
+    with pytest.raises(InternalInconsistencyError, match="Cartan matrix inverse is wrong"):
+        lattice._tables_from_roots(lattice.CARTAN, roots[:-1])
+    # a negated root leaves the sum of a a^T alone: only the Weyl vector check sees it
+    negated = [tuple(-x for x in roots[0])] + roots[1:]
+    with pytest.raises(InternalInconsistencyError,
+                       match="positive roots do not sum to twice the Weyl vector"):
+        lattice._tables_from_roots(lattice.CARTAN, negated)
 
 
 def _renumbered(mat, perm):
