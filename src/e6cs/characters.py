@@ -121,69 +121,68 @@ def character_annihilator(m) -> Character:
                      "annihilator")
 
 
-def _dimension(terms: dict[Exponent, int]) -> int:
-    """The integer polynomial with these terms at lattice.FUNDAMENTAL_DIMENSIONS:
-    the sum of each coefficient times its exponent's value in the exponent
-    index, which registers any term it has not met."""
-    index = hamiltonian.exponent_index()
-    return sum(c * index.values[index.id(e)] for e, c in terms.items())
-
-
 # the eigenfunction proofs still owed in a block under owing(), by weight:
 # (character, eps3), or (character, None) for the exact sigma image of an owed mate
 Owed = dict[lattice.Vec, tuple[Character, int | None]]
 
 
 def validate_character(ch: Character, owed: Owed | None = None) -> None:
-    """Check the four structural invariants; raise on any violation.
+    """Check the four structural invariants; raise on the first violation.
 
-    The one rule for when a proof is inherited.  Monic, integral and
-    dimension are checked on every character.  The eigenfunction identity
-    (3*Delta - eps_w) chi = 0 is inherited, with no residual pass, when chi
-    is exactly a polynomial this process has already proven (every character
-    in _MEMORY passed this function): the character of w itself, or sigma of
-    the character of sigma(w) = lattice.conjugate(w).  The second carries
-    over because (3*Delta - eps_w) chi = sigma((3*Delta - eps_sigma(w)) mate)
-    = 0: the operator commutes with sigma (a load check of
-    hamiltonian.parse_tables) and w and sigma(w) share their eigenvalue (an
-    import check of lattice).  Any other polynomial gets the residual pass,
-    computed term by term, which must vanish.
+    One order for every caller, so every reader of a character names the
+    same first failing invariant: monic, integral, dimension, then the
+    eigenfunction identity (3*Delta - eps_w) chi = 0.  The dimension is the
+    sum of each coefficient times its exponent's value in the exponent
+    index (lattice.FUNDAMENTAL_DIMENSIONS), which registers any term it has
+    not met.
+
+    The one rule for when the eigenfunction proof is inherited: with no
+    residual pass, when chi is exactly a polynomial this process has already
+    proven (every character in _MEMORY passed this function): the character
+    of w itself, or sigma of the character of sigma(w) = lattice.conjugate(w).
+    The second carries over because (3*Delta - eps_w) chi =
+    sigma((3*Delta - eps_sigma(w)) mate) = 0: the operator commutes with sigma
+    (a load check of hamiltonian.parse_tables) and w and sigma(w) share their
+    eigenvalue (an import check of lattice).  Any other polynomial gets the
+    residual pass, computed term by term, which must vanish.
 
     With owed, the ledger of an owing() block, the residual pass is not run
     but owed: owed[w] becomes (ch, eps3), or (ch, None) when ch is exactly
     sigma of an owed mate, whose proof it will inherit.  Either way ch is not
     proven until pay_owed runs, and its caller keeps it out of _MEMORY.  The
-    entry is made only once every other check has passed, so a rejected ch
-    never reaches pay_owed, which would admit it to _MEMORY."""
+    entry is the last statement, so a ch that fails any other check never
+    reaches pay_owed, which would admit it to _MEMORY."""
     w, terms = ch.weight, ch.poly.terms
     if terms.get(w) != 1:
         raise InternalInconsistencyError(f"character of {w} is not monic")
     if any(type(c) is not int for c in terms.values()):
         raise InternalInconsistencyError(f"character of {w} has non-integer coefficients")
-    conj = lattice.conjugate(w)
-    known, mate = _MEMORY.get(w), _MEMORY.get(conj)
-    unproven = not (known is not None and known.poly == ch.poly
-                    or mate is not None and mate.poly.conjugate_variables() == ch.poly)
-    if unproven and owed is None:
-        _check_residual(w, terms, hamiltonian.eigenvalue_x3(w))
-    got, expect = _dimension(terms), lattice.weyl_dimension(w)
-    if got != expect:
+    index = hamiltonian.exponent_index()
+    got = sum(c * index.values[index.id(e)] for e, c in terms.items())
+    if got != (expect := lattice.weyl_dimension(w)):
         raise InternalInconsistencyError(
             f"character of {w} evaluates to {got}, expected the Weyl dimension {expect}")
-    if unproven and owed is not None:
-        due = owed.get(conj)
-        inherits = due is not None and due[0].poly.conjugate_variables() == ch.poly
-        owed[w] = (ch, None if inherits else hamiltonian.eigenvalue_x3(w))
+    conj = lattice.conjugate(w)
+    known, mate = _MEMORY.get(w), _MEMORY.get(conj)
+    if (known is not None and known.poly == ch.poly
+            or mate is not None and mate.poly.conjugate_variables() == ch.poly):
+        return
+    due = (owed or {}).get(conj)  # exactly sigma of an owed mate inherits its proof
+    eps3 = (None if due and due[0].poly.conjugate_variables() == ch.poly
+            else hamiltonian.eigenvalue_x3(w))
+    if owed is None:
+        return _check_residual(ch, eps3)
+    owed[w] = (ch, eps3)
 
 
-def _check_residual(w: lattice.Vec, terms: dict[Exponent, int], eps3: int) -> None:
+def _check_residual(ch: Character, eps3: int) -> None:
     """The residual pass of validate_character: (3*Delta - eps3) chi = 0,
     else the first nonzero residual in the order of shifted_image_x3 is named."""
-    acc = hamiltonian.shifted_image_x3(terms, eps3)
+    acc = hamiltonian.shifted_image_x3(ch.poly.terms, eps3)
     if any(acc.values()):
         t, r3 = next((t, r3) for t, r3 in acc.items() if r3)
         raise InternalInconsistencyError(
-            f"character of {w} is not an eigenfunction: (Delta - eps) chi has "
+            f"character of {ch.weight} is not an eigenfunction: (Delta - eps) chi has "
             f"residual {coef_to_str(Fraction(r3, 3))} at exponent {t}")
 
 
@@ -205,7 +204,7 @@ def pay_owed(owed: Owed) -> None:
     if not vanish:
         for ch, eps3 in due:
             try:
-                _check_residual(ch.weight, ch.poly.terms, eps3)
+                _check_residual(ch, eps3)
             except InternalInconsistencyError as exc:
                 raise _invalid(cache_path(ch.weight), exc) from exc
     _MEMORY.update((ch.weight, ch) for ch, _ in proven)

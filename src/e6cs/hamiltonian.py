@@ -59,11 +59,19 @@ from .errors import InternalInconsistencyError
 from .ring import Coef, Exponent, SparsePolynomial, _norm, _wrap, coef_to_str
 
 
+def _check_kappa(kappa: Coef) -> None:
+    """kappa exactly an int or a Fraction, never a bool or a float, as
+    lattice.check_labels reads a label; ValueError naming kappa otherwise."""
+    if type(kappa) not in lattice.RATIONAL:
+        raise ValueError(f"kappa must be int or Fraction: {kappa!r}")
+
+
 def eigenvalue(m: Sequence[int], kappa: Coef = 1) -> Coef:
     """Spectrum of the operator on the character labelled by m, exact.
 
     Equals 2(l, l + 2*kappa*rho) for the weight l with Dynkin labels m.
     """
+    _check_kappa(kappa)
     m = lattice.check_labels(m, lattice.RATIONAL)
     return _norm(Fraction(2 * lattice.form_x3(m, [x + 2 * kappa for x in m]), 3))
 
@@ -77,6 +85,7 @@ def eigenvalue_x3(m: Sequence[int]) -> int:
 def energy(m: Sequence[int], kappa: Coef = 1) -> tuple[Coef, Coef]:
     """(total, ground-state) energy at coupling kappa; total - ground is the
     eigenvalue above."""
+    _check_kappa(kappa)
     m = lattice.check_labels(m, lattice.RATIONAL)
     rho = (1, 1, 1, 1, 1, 1)
     ground = 2 * kappa * kappa * lattice.inner_product(rho, rho)
@@ -108,12 +117,15 @@ def parse_tables(records: Sequence[dict]) -> Kernel:
     """
     parsed = []
     for rec in records:
-        kind, idx = rec["kind"], tuple(rec["indices"])
+        try:
+            kind, idx, raw = rec["kind"], tuple(rec["indices"]), rec["terms"]
+        except KeyError as exc:
+            raise InternalInconsistencyError(f"table record {rec} lacks the field {exc}") from None
         if kind not in ("a", "b"):
             raise InternalInconsistencyError(f"unknown table record kind {kind!r}")
         name = f"table record {kind}{list(idx)}"
         try:
-            terms = SparsePolynomial.from_records(rec["terms"]).terms
+            terms = SparsePolynomial.from_records(raw).terms
         except ValueError as exc:
             raise InternalInconsistencyError(f"{name}: {exc}") from None
         for c in terms.values():

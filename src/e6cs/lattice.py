@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import prod
 from operator import mul
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import InternalInconsistencyError, NonIntegralError
 
@@ -273,15 +273,22 @@ def _check_dominant(m: Sequence[int]) -> Vec:
     return m
 
 
-def read_keyed(records: Iterable[Mapping], key: str, read: Callable[[Mapping], object]) -> dict:
+def read_keyed(records: Iterable[dict], key: str, read: Callable[[dict], object]) -> dict:
     """{_check_dominant(rec[key]): read(rec)} over JSON records, the one reader of
-    a list keyed by weight or exponent: ValueError on a bad or a repeated key."""
+    a list keyed by weight or exponent: ValueError on a record that is not an
+    object or lacks a field that key or read names, and on a bad or a
+    repeated key."""
     out = {}
     for rec in records:
-        m = _check_dominant(rec[key])
-        if m in out:
-            raise ValueError(f"repeated {key} {m}")
-        out[m] = read(rec)
+        if not isinstance(rec, dict):
+            raise ValueError(f"record is not an object: {rec!r}")
+        try:
+            m = _check_dominant(rec[key])
+            if m in out:
+                raise ValueError(f"repeated {key} {m}")
+            out[m] = read(rec)
+        except KeyError as exc:
+            raise ValueError(f"record lacks the field {exc}: {rec}") from None
     return out
 
 

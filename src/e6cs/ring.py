@@ -173,7 +173,7 @@ class SparsePolynomial:
         return [{"exp": list(e), "coef": coef_to_str(c)} for e, c in self.sorted_terms()]
 
     @classmethod
-    def from_records(cls, records: Iterable[Mapping]) -> "SparsePolynomial":
+    def from_records(cls, records: Iterable[dict]) -> "SparsePolynomial":
         """The polynomial of to_records' records; ValueError on a bad or repeated term."""
         out = read_keyed(records, "exp", lambda rec: coef_from_str(rec["coef"]))
         return _wrap({e: c for e, c in out.items() if c})

@@ -56,11 +56,20 @@ class CGSeries(NamedTuple):
 
     @classmethod
     def from_json(cls, obj: dict) -> "CGSeries":
-        factors = tuple(lattice._check_dominant(f) for f in obj["factors"])
-        for rec in obj["terms"]:
-            if type(rec["mult"]) is not int or rec["mult"] < 1:
-                raise ValueError(f"multiplicity must be a positive int: {rec}")
-        return cls(factors, lattice.read_keyed(obj["terms"], "weight", lambda rec: rec["mult"]))
+        """The series of to_json's record; ValueError on a missing field, a bad
+        weight or a multiplicity that is not a positive int."""
+        try:
+            factors, terms = obj["factors"], obj["terms"]
+        except KeyError as exc:
+            raise ValueError(f"record lacks the field {exc}: {obj}") from None
+        factors = tuple(lattice._check_dominant(f) for f in factors)
+        return cls(factors, lattice.read_keyed(terms, "weight", _multiplicity))
+
+
+def _multiplicity(rec: dict) -> int:
+    if type(rec["mult"]) is not int or rec["mult"] < 1:
+        raise ValueError(f"multiplicity must be a positive int: {rec}")
+    return rec["mult"]
 
 
 def _peel(product: SparsePolynomial, factors: tuple[lattice.Vec, ...]) -> CGSeries:

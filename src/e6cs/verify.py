@@ -13,7 +13,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from . import golden, hamiltonian, lattice, tensor
 from .characters import (_load, cache_entries, cache_key, character, character_annihilator,
-                         character_recursion, validate_character)
+                         character_recursion, entry_key, validate_character)
 from .errors import CacheCorruptError, E6CSError
 from .ring import SparsePolynomial
 
@@ -138,19 +138,19 @@ def suite_dims() -> list[Check]:
         got = lattice.weyl_dimension(w)
         checks.append(_check(f"dim({_label(w)})", got == d, d, got))
     # read as a lookup reads it: the four invariants include the dimension
-    cached = cache_entries()
-    stale = 0
-    for path in cached:
+    swept = 0  # counted as `cache info` counts them: a stray file is no entry
+    for path in cache_entries():
         try:
             ch = _load(cache_key(path))
         except CacheCorruptError as exc:
             checks.append(Check(f"cached entry {path.name}", False, str(exc)))
+            swept += entry_key(path) is not None
             continue
         if ch is None:  # another format version: recomputed on its next lookup
-            stale += 1
             continue
+        swept += 1
         checks.append(Check(f"cached chi({_label(ch.weight)}) dimension", True))
-    checks.append(Check(f"cached entries swept: {len(cached) - stale}", True))
+    checks.append(Check(f"cached entries swept: {swept}", True))
     return checks
 
 

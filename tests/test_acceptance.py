@@ -60,6 +60,20 @@ def planted_reference(monkeypatch):
     ("tensor_candidates_l3_l4.json", [{"weight": [0, 0, 0, 1, 0, 0], "dim": 2925},
                                       {"weight": [0, 0, 0, 1, 0, 0], "dim": 2925}],
      "repeated weight (0, 0, 0, 1, 0, 0)"),
+    # a record that lacks a field, or is not an object, is named, never a KeyError
+    ("tensor_candidates_l3_l4.json", [{"weight": [0, 0, 0, 1, 0, 0]}],
+     "record lacks the field 'dim': {'weight': [0, 0, 0, 1, 0, 0]}"),
+    ("characters_degree2.json", [{"terms": []}], "record lacks the field 'weight'"),
+    ("characters_degree2.json", [[2, 0, 0, 0, 0, 0]],
+     "record is not an object: [2, 0, 0, 0, 0, 0]"),
+    ("characters_degree3.json", [{"weight": [0, 0, 0, 1, 0, 0], "terms": [{"exp": [0] * 6}]}],
+     "record lacks the field 'coef': {'exp': [0, 0, 0, 0, 0, 0]}"),
+    ("series_quadratic.json", [{"factors": []}], "record lacks the field 'terms': {'factors': []}"),
+    ("series_cubic.json", [{"monomial": [0, 0, 0, 2, 0, 0], "terms": []}],
+     "record lacks the field 'factors'"),
+    ("series_cubic.json", [{"monomial": [0, 0, 0, 2, 0, 0], "factors": [],
+                            "terms": [{"weight": [0] * 6}]}],
+     "record lacks the field 'mult': {'weight': [0, 0, 0, 0, 0, 0]}"),
     # int() would round this to 2925
     ("tensor_candidates_l3_l4.json", [{"weight": [0, 0, 0, 1, 0, 0], "dim": 2925.9}],
      "dimension must be an int"),

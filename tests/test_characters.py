@@ -3,6 +3,7 @@ import json
 import re
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -125,7 +126,7 @@ def test_cache_round_trip(isolated_cache):
     ch = character(w)
     path = characters.cache_path(w)
     assert path.is_file()
-    payload = json.loads(path.read_text())
+    payload = json.loads(path.read_text(encoding="utf-8"))
     assert payload["weight"] == list(w)
     assert payload["version"] == characters.CACHE_VERSION
     assert payload["method"] == "recursion"
@@ -140,10 +141,10 @@ def test_cache_corruption_detected(isolated_cache, term_index):
     w = (2, 0, 0, 0, 0, 0)
     character(w)
     path = characters.cache_path(w)
-    payload = json.loads(path.read_text())
+    payload = json.loads(path.read_text(encoding="utf-8"))
     # break an interior coefficient
     payload["coefs"][term_index(payload, (0, 0, 1, 0, 0, 0))] = 17
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps(payload), encoding="utf-8")
     characters.clear_memory_cache()
     with pytest.raises(CacheCorruptError):
         character(w)
@@ -152,7 +153,7 @@ def test_cache_corruption_detected(isolated_cache, term_index):
 def test_cache_format_round_trip_is_bit_exact(isolated_cache):
     for w in [(0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 1), (0, 0, 0, 3, 0, 0), (1, 1, 0, 0, 1, 0)]:
         ch = character(w)
-        payload = json.loads(characters.cache_path(w).read_text())
+        payload = json.loads(characters.cache_path(w).read_text(encoding="utf-8"))
         assert list(payload) == ["weight", "version", "method", "exps", "coefs"]
         assert len(_exponents(payload)) == 6 * len(payload["coefs"]) == 6 * len(ch.poly.terms)
         characters.clear_memory_cache()
@@ -363,9 +364,9 @@ def _every_reader_rejects(w, corrupt, reason, capsys, term_index):
     one verdict that names the entry."""
     character(w)
     path = characters.cache_path(w)
-    payload = json.loads(path.read_text())
+    payload = json.loads(path.read_text(encoding="utf-8"))
     replaced = corrupt(payload, term_index)
-    path.write_text(json.dumps(payload if replaced is None else replaced))
+    path.write_text(json.dumps(payload if replaced is None else replaced), encoding="utf-8")
     characters.clear_memory_cache()
     with pytest.raises(CacheCorruptError, match=re.escape(str(path))) as info:
         character(w)
@@ -378,6 +379,29 @@ def _every_reader_rejects(w, corrupt, reason, capsys, term_index):
     assert f"FAIL [dims] cached entry {path.name}: {info.value}\n" in capsys.readouterr().out
     assert main(["cache", "validate"]) == 1
     assert capsys.readouterr().err == f"error: {info.value}\n"
+
+
+def test_every_reader_names_the_first_failing_invariant(isolated_cache, capsys, term_index):
+    # chi(1,0,0,0,0,1) = z1*z6 - z2 - 1 stored with its z2 term doubled is
+    # neither of dimension 650 nor an eigenfunction.  Each reader names the
+    # dimension, whether it proves its hit at once (char, a factor, the dims
+    # sweep) or owes the proof (a peel candidate, cache validate).
+    w = (1, 0, 0, 0, 0, 1)
+    character(w)
+    path = characters.cache_path(w)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["coefs"][term_index(payload, (0, 1, 0, 0, 0, 0))] = -2
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    message = (f"invalid cache entry {path}: character of {w} evaluates to 572, "
+               "expected the Weyl dimension 650")
+    for argv in (["char", "1,0,0,0,0,1"], ["tensor", "1,0,0,0,0,1", "0,0,0,0,0,0"],
+                 ["tensor", "1,0,0,0,0,0", "0,0,0,0,0,1"], ["monomial", "1,0,0,0,0,1"],
+                 ["cache", "validate"]):
+        characters.clear_memory_cache()
+        assert main(argv) == 1 and capsys.readouterr().err == f"error: {message}\n", argv
+    characters.clear_memory_cache()
+    assert main(["verify", "--suite=dims"]) == 1
+    assert f"FAIL [dims] cached entry {path.name}: {message}\n" in capsys.readouterr().out
 
 
 def test_every_reader_rejects_an_entry_under_another_weights_name(isolated_cache, capsys):
@@ -430,7 +454,7 @@ def _float_version_entry(w, poly):
 def test_stale_cache_version_is_recomputed(stale, isolated_cache, monkeypatch, capsys):
     expect = {w: character_recursion(w) for w in [(1, 0, 0, 0, 0, 2), (0, 1, 1, 0, 0, 0)]}
     for w, ch in expect.items():
-        characters.cache_path(w).write_text(stale(w, ch.poly))
+        characters.cache_path(w).write_text(stale(w, ch.poly), encoding="utf-8")
     dims = {c.name: c.ok for c in verify.suite_dims()}
     assert all(dims.values()) and "cached entries swept: 0" in dims
     w, u = expect
@@ -438,7 +462,8 @@ def test_stale_cache_version_is_recomputed(stale, isolated_cache, monkeypatch, c
     assert main(["cache", "validate"]) == 0  # upgrades the other entry
     assert characters.CACHE_VERSION == 4
     for v, ch in expect.items():
-        assert characters.cache_path(v).read_text() == characters.encode_cache_entry(ch)
+        stored = characters.cache_path(v).read_text(encoding="utf-8")
+        assert stored == characters.encode_cache_entry(ch)
     characters.clear_memory_cache()
     monkeypatch.setattr(characters, "character_recursion", None)  # hits only from here
     assert character(w) == expect[w] and character(u) == expect[u]
@@ -449,9 +474,9 @@ def test_dims_sweep_proves_an_entry_that_differs_from_the_memory_tier(isolated_c
     w = (2, 0, 0, 0, 0, 0)
     true_poly = character(w).poly  # the memory tier keeps the true character
     path = characters.cache_path(w)
-    payload = json.loads(path.read_text())
+    payload = json.loads(path.read_text(encoding="utf-8"))
     _same_dimension_non_eigenfunction(payload, term_index)
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps(payload), encoding="utf-8")
     assert characters._MEMORY[w].poly == true_poly
     assert main(["verify", "--suite=dims"]) == 1
     out = capsys.readouterr().out
@@ -469,18 +494,18 @@ def test_cache_validate_names_the_first_corrupt_entry_in_name_order(later, isola
     for w in (first, second):
         character(w)
     path, later_path = characters.cache_path(first), characters.cache_path(second)
-    payload = json.loads(path.read_text())
+    payload = json.loads(path.read_text(encoding="utf-8"))
     _same_dimension_non_eigenfunction(payload, term_index)
-    path.write_text(json.dumps(payload))
-    stale = json.dumps({**json.loads(later_path.read_text()), "version": 3})
-    later_path.write_text("[]" if later == "unreadable" else stale)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    stale = json.dumps({**json.loads(later_path.read_text(encoding="utf-8")), "version": 3})
+    later_path.write_text("[]" if later == "unreadable" else stale, encoding="utf-8")
     characters.clear_memory_cache()
     with pytest.raises(CacheCorruptError, match=re.escape(str(path))) as info:
         character(first)
     assert main(["cache", "validate"]) == 1
     assert capsys.readouterr().err == f"error: {info.value}\n"
     if later == "stale":
-        assert later_path.read_text() == stale  # not recomputed
+        assert later_path.read_text(encoding="utf-8") == stale  # not recomputed
         assert second not in characters._MEMORY
 
 
@@ -524,32 +549,61 @@ def test_verify_renders_polynomials_only_for_a_failed_check(monkeypatch):
     assert rendered == []
 
 
-def test_verify_names_a_character_that_fails_its_invariants(monkeypatch):
+def _swap_mates(terms, e):
+    """terms with the coefficients of e and of its sigma mate swapped, each
+    at the other's place: mates have the same monomial value, so the
+    dimension stays, but the eigenfunction identity breaks."""
+    pair = {e, lattice.conjugate(e)}
+    return {lattice.conjugate(x) if x in pair else x: c for x, c in terms.items()}
+
+
+def _bump(terms, e):
+    return {**terms, e: terms[e] + 1}
+
+
+def _dimension_text(w, terms):
+    got = sum(c * prod(map(pow, lattice.FUNDAMENTAL_DIMENSIONS, x)) for x, c in terms.items())
+    return f"character of {w} evaluates to {got}, expected the Weyl dimension "
+
+
+@pytest.mark.parametrize("fault", [_swap_mates, _bump])
+def test_verify_names_a_character_that_fails_its_invariants(monkeypatch, fault):
     w = (1, 0, 0, 0, 0, 2)
     expect = character_recursion(w).poly
-    bumped = dict(expect.terms)
-    bumped[next(e for e in bumped if e != w)] += 1  # an interior coefficient
+    e = next(e for e in expect.terms if e != w)  # an interior term, with no mate term
+    faulty = fault(expect.terms, e)
 
     def recursion(m):
-        return characters.Character(tuple(m), SparsePolynomial(bumped), "recursion")
+        return characters.Character(tuple(m), SparsePolynomial(faulty), "recursion")
 
     monkeypatch.setattr(verify, "character_recursion", recursion)
     checks = {c.name: c for c in verify._character_checks(w, expect)}
     check = checks["chi(1,0,0,0,0,2) invariants"]
     assert not check.ok
-    assert check.detail.startswith(f"character of {w} is not an eigenfunction")
+    if fault is _swap_mates:  # only the eigenfunction identity fails
+        assert check.detail.startswith(f"character of {w} is not an eigenfunction")
+        assert check.detail.endswith(f"at exponent {lattice.conjugate(e)}")
+    else:  # the dimension breaks too, and it is checked first
+        assert check.detail.startswith(_dimension_text(w, faulty))
 
 
 def test_validation_failures_name_the_fault(monkeypatch):
     w = (1, 0, 0, 0, 0, 2)
     ch = character_recursion(w)
-    bumped = dict(ch.poly.terms)
-    e = next(e for e in bumped if e != w)  # an interior term
-    bumped[e] *= 2  # stays nonzero, so the term stays in the support
+    e = next(e for e in ch.poly.terms if e != w)  # an interior term, with no mate term
+    swapped = characters.Character(w, SparsePolynomial(_swap_mates(ch.poly.terms, e)),
+                                   "recursion")
     with pytest.raises(InternalInconsistencyError) as info:
-        validate_character(characters.Character(w, SparsePolynomial(bumped), "recursion"))
+        validate_character(swapped)
     msg = str(info.value)
-    assert str(w) in msg and "not an eigenfunction" in msg and f"at exponent {e}" in msg
+    # the mate takes e's place among the terms, so its residual is met first
+    assert str(w) in msg and "not an eigenfunction" in msg
+    assert f"at exponent {lattice.conjugate(e)}" in msg
+    # doubling the term breaks the dimension as well, which is named first
+    doubled = {**ch.poly.terms, e: 2 * ch.poly.terms[e]}
+    with pytest.raises(InternalInconsistencyError,
+                       match=re.escape(_dimension_text(w, doubled))):
+        validate_character(characters.Character(w, SparsePolynomial(doubled), "recursion"))
     halved = characters.Character(w, SparsePolynomial({w: 1, e: Fraction(1, 2)}), "recursion")
     with pytest.raises(InternalInconsistencyError,
                        match=re.escape(f"character of {w} has non-integer coefficients")):
@@ -560,27 +614,47 @@ def test_validation_failures_name_the_fault(monkeypatch):
         validate_character(character_recursion((1, 0, 0, 0, 0, 0)))
 
 
+def _entry_terms(payload):
+    """A cache entry's exponents, one tuple per term."""
+    exps = _exponents(payload)
+    return [tuple(exps[i:i + 6]) for i in range(0, len(exps), 6)]
+
+
+def _swap_mates_in_entry(payload, e):
+    """_swap_mates on a cache entry's terms, each exponent rewritten in place."""
+    pair = {e, lattice.conjugate(e)}
+    _set_exponents(payload, [x for t in _entry_terms(payload)
+                             for x in (lattice.conjugate(t) if t in pair else t)])
+    return rf"not an eigenfunction: .* at exponent {re.escape(str(lattice.conjugate(e)))}$"
+
+
+def _double_in_entry(payload, e):
+    payload["coefs"][_entry_terms(payload).index(e)] *= 2
+    return r"evaluates to -1755, expected the Weyl dimension 7722$"
+
+
+@pytest.mark.parametrize("fault", [_swap_mates_in_entry, _double_in_entry])
 def test_a_mate_that_differs_from_sigma_of_its_proven_partner_gets_the_residual_check(
-        isolated_cache, term_index):
+        isolated_cache, fault):
     w, mate = (1, 0, 0, 0, 0, 2), (2, 0, 0, 0, 0, 1)
     character(w)
     character(mate)
     path = characters.cache_path(mate)
-    payload = json.loads(path.read_text())
-    e = tuple(_exponents(payload)[6:12])  # the first interior term
-    payload["coefs"][term_index(payload, e)] *= 2
-    path.write_text(json.dumps(payload))
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    e = _entry_terms(payload)[1]  # the first interior term, with no mate term
+    reason = fault(payload, e)
+    path.write_text(json.dumps(payload), encoding="utf-8")
     characters.clear_memory_cache()
     character(w)  # proven by its residual, and now in the memory tier
-    with pytest.raises(CacheCorruptError,
-                       match=rf"not an eigenfunction: .* at exponent {re.escape(str(e))}$"):
+    # a doubled term fails its dimension check before any proof is inherited
+    with pytest.raises(CacheCorruptError, match=reason):
         character(mate)
 
 
 def test_cache_unparseable_file(isolated_cache):
     w = (0, 0, 0, 0, 1, 0)
     character(w)
-    characters.cache_path(w).write_text("not json")
+    characters.cache_path(w).write_text("not json", encoding="utf-8")
     characters.clear_memory_cache()
     with pytest.raises(CacheCorruptError):
         character(w)

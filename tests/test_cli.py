@@ -288,9 +288,9 @@ def test_computation_error_exits_1(capsys, isolated_cache, term_index):
     assert main(["char", "2,0,0,0,0,0"]) == 0
     capsys.readouterr()
     path = characters.cache_path((2, 0, 0, 0, 0, 0))
-    payload = json.loads(path.read_text())
+    payload = json.loads(path.read_text(encoding="utf-8"))
     payload["coefs"][term_index(payload, (2, 0, 0, 0, 0, 0))] = 3
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps(payload), encoding="utf-8")
     characters.clear_memory_cache()
     code, _, err = run(capsys, "char", "2,0,0,0,0,0")
     assert code == 1
@@ -427,7 +427,7 @@ def test_cache_clear_removes_interrupted_store_temporaries(capsys, isolated_cach
     # what _store leaves when it is killed between mkstemp and the rename
     run(capsys, "char", "1,0,0,0,0,0")
     leftover = isolated_cache / "tmpk3x9q1.tmp"
-    leftover.write_text('{"weight": [1, 0')
+    leftover.write_text('{"weight": [1, 0', encoding="utf-8")
     code, out, _ = run(capsys, "cache", "clear")
     assert code == 0
     assert out.splitlines() == [f"removed 1 entries from {isolated_cache}",
@@ -439,16 +439,21 @@ def test_cache_info_and_clear_count_stray_files_apart(capsys, isolated_cache):
     run(capsys, "char", "1,0,0,0,0,0")
     entry = characters.cache_path((1, 0, 0, 0, 0, 0))
     (isolated_cache / "chi_01-0-0-0-0-0.json").write_bytes(entry.read_bytes())
-    (isolated_cache / "chi_x.json").write_text("junk")
+    (isolated_cache / "chi_x.json").write_text("junk", encoding="utf-8")
     assert run(capsys, "cache", "info") == (
         0, f"cache directory: {isolated_cache}\nentries: 1\nstray files: 2\n", "")
+    # the dims sweep names each stray file, but counts only the one entry
+    code, out, _ = run(capsys, "verify", "--suite=dims")
+    assert code == 1 and "cached entries swept: 1\n" in out
+    assert [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL [dims] cached entry chi_01-0-0-0-0-0.json", "FAIL [dims] cached entry chi_x.json"]
     assert run(capsys, "cache", "clear") == (
         0, f"removed 1 entries from {isolated_cache}\nremoved 2 stray files\n", "")
     assert list(isolated_cache.iterdir()) == []
 
 
 @pytest.mark.parametrize("plant, reason", [
-    (lambda path: path.write_text("[" * 100_000), "entry nests too deeply"),
+    (lambda path: path.write_text("[" * 100_000, encoding="utf-8"), "entry nests too deeply"),
     (lambda path: path.mkdir(), "Is a directory"),
     # a read would block on a FIFO and never end on /dev/zero
     pytest.param(lambda path: os.mkfifo(path), "not a regular file",
@@ -492,7 +497,7 @@ def test_cache_validate_rejects_stray_file(capsys, isolated_cache):
     for name, text in [("chi_foo.json", "{}"), ("chi_01-0-0-0-0-0.json", "garbage"),
                        ("chi_\u0661-0-0-0-0-0.json", "garbage")]:
         stray = isolated_cache / name
-        stray.write_text(text)
+        stray.write_text(text, encoding="utf-8")
         code, _, err = run(capsys, "cache", "validate")
         assert code == 1
         assert err.startswith("error:") and name in err
@@ -514,7 +519,7 @@ def test_unusable_cache_directory_is_named(capsys, tmp_path, monkeypatch, argv, 
     # read: a path below a regular file; file: the regular file itself; both
     # fail a lookup and a listing of the entries alike.  write: a miss whose
     # store cannot mkdir (a listing of a missing directory is an empty cache)
-    (tmp_path / "file").write_text("")
+    (tmp_path / "file").write_text("", encoding="utf-8")
     if side == "read":
         directory = tmp_path / "file" / "sub"
     elif side == "file":
@@ -563,7 +568,7 @@ def test_a_file_size_limit_gives_one_line(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(e6cs.__file__).parents[1]),
                PYTHONDONTWRITEBYTECODE="1", **{characters.CACHE_ENV: str(tmp_path)})
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
+                          encoding="utf-8", timeout=120)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == f"error: unusable cache directory {tmp_path}: {os.strerror(errno.EFBIG)}\n"
     assert not list(tmp_path.glob("*.tmp"))
@@ -579,7 +584,7 @@ def test_the_engine_names_the_encoding_of_every_file_it_reads_or_writes(tmp_path
                  ["tensor", "0,0,1,0,0,0", "0,0,0,1,0,0"], ["cache", "validate"]):
         proc = subprocess.run([sys.executable, "-X", "warn_default_encoding",
                                "-W", "error::EncodingWarning", "-c", script, *argv],
-                              env=env, capture_output=True, text=True, timeout=120)
+                              env=env, capture_output=True, encoding="utf-8", timeout=120)
         assert (proc.returncode, proc.stderr) == (0, ""), argv
 
 
@@ -598,7 +603,8 @@ def test_a_closed_stdout_exits_1_quietly(tmp_path, argv, unbuffered):
     os.close(read_end)
     try:
         proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
-                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+                              stdout=write_end, stderr=subprocess.PIPE, encoding="utf-8",
+                              timeout=120)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, "")

@@ -1,5 +1,6 @@
 import json
 import re
+from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 from importlib import resources
@@ -50,6 +51,15 @@ def test_energy():
     assert hamiltonian.energy((0,) * 6, 1) == (156, 156)
     assert hamiltonian.energy((0,) * 6, 0) == (0, 0)
     assert hamiltonian.energy((0, 1, 0, 0, 0, 0), 1) == (204, 156)
+
+
+@pytest.mark.parametrize("function", [hamiltonian.eigenvalue, hamiltonian.energy])
+@pytest.mark.parametrize("kappa", [1.5, 1.0, True, False, "1", None, Decimal(1)])
+def test_kappa_must_be_an_int_or_a_fraction(function, kappa):
+    # checked before any arithmetic: a bool is not read as 0 or 1, and a
+    # float is named as kappa, not as a shifted vector the caller never passed
+    with pytest.raises(ValueError, match=re.escape(f"kappa must be int or Fraction: {kappa!r}")):
+        function((1, 0, 0, 0, 0, 0), kappa)
 
 
 @given(small_weights, rationals)
@@ -107,7 +117,8 @@ def test_eigenvalue_strictly_increasing_along_dominance():
 
 
 def _table_records():
-    return json.loads(resources.files("e6cs.data").joinpath("operator_tables.json").read_text())
+    path = resources.files("e6cs.data").joinpath("operator_tables.json")
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 @cache
@@ -219,6 +230,14 @@ def _add_term(records, kind, indices, exp, coef):
 @pytest.mark.parametrize("corrupt, error, fault", [
     (lambda recs: recs[0].update(kind="c"), InternalInconsistencyError, "unknown table record kind 'c'"),
     (lambda recs: recs.pop(7), InternalInconsistencyError, "index set is wrong"),
+    # a missing field is named with its record, never a KeyError
+    (lambda recs: recs[0].pop("kind"), InternalInconsistencyError,
+     "table record {'indices': [1, 1], 'terms': "),
+    (lambda recs: recs[0].pop("indices"), InternalInconsistencyError, "lacks the field 'indices'"),
+    (lambda recs: recs[0].pop("terms"), InternalInconsistencyError,
+     "table record {'kind': 'a', 'indices': [1, 1]} lacks the field 'terms'"),
+    (lambda recs: recs[0]["terms"][0].pop("coef"), InternalInconsistencyError,
+     "table record a[1, 1]: record lacks the field 'coef': {'exp': "),
     (lambda recs: _set_coef(recs, "a", [2, 4], "1/9"), InternalInconsistencyError,
      "denominator of 1/9 exceeds 3"),
     (lambda recs: _set_coef(recs, "b", [3], "203/3"), InternalInconsistencyError,

@@ -31,7 +31,7 @@ def test_the_engine_imports_no_heavy_stdlib_module():
     env = dict(os.environ, PYTHONPATH=str(Path(e6cs.__file__).parents[1]),
                PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
+                          encoding="utf-8", timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
     added = set(proc.stdout.split())
     assert "e6cs.cli" in added

@@ -201,6 +201,10 @@ def test_parser_rational_and_parentheses():
     (lambda: SparsePolynomial.from_records([{"exp": [1, 0, 0, 0, 0, 0], "coef": "0"},
                                             {"exp": [1, 0, 0, 0, 0, 0], "coef": "2"}]),
      "repeated exp (1, 0, 0, 0, 0, 0)"),
+    # a record that lacks a field, once a KeyError
+    (lambda: SparsePolynomial.from_records([{"exp": [0] * 6}]),
+     "record lacks the field 'coef': {'exp': [0, 0, 0, 0, 0, 0]}"),
+    (lambda: SparsePolynomial.from_records([{"coef": "1"}]), "record lacks the field 'exp'"),
 ])
 def test_terms_from_outside_are_checked(build, fault):
     with pytest.raises(ValueError, match=re.escape(fault)):

@@ -148,6 +148,18 @@ def test_series_json_rejects_a_multiplicity_that_is_not_a_positive_int(mult):
         CGSeries.from_json({"factors": [[1, 0, 0, 0, 0, 0]], "terms": [rec]})
 
 
+@pytest.mark.parametrize("obj, fault", [
+    ({"factors": []}, "record lacks the field 'terms': {'factors': []}"),
+    ({"terms": []}, "record lacks the field 'factors': {'terms': []}"),
+    ({"factors": [], "terms": [{"weight": [0] * 6}]}, "record lacks the field 'mult'"),
+    ({"factors": [], "terms": [{"mult": 1}]}, "record lacks the field 'weight'"),
+    ({"factors": [], "terms": [[0] * 6]}, "record is not an object: [0, 0, 0, 0, 0, 0]"),
+])
+def test_series_json_names_a_missing_field(obj, fault):
+    with pytest.raises(ValueError, match=re.escape(fault)):
+        CGSeries.from_json(obj)
+
+
 def test_peeling_detects_negative_multiplicity():
     # poison the in-memory cache for chi(l3) and watch the engine object
     characters.clear_memory_cache()
@@ -244,12 +256,12 @@ def _sigma_swap_entry(w, term_index):
     """Exchange the coefficients of chi(w) at (0,1,0,2,1,1) and at its sigma
     image (1,1,1,2,0,0): the dimension stays, the eigenfunction breaks."""
     path = characters.cache_path(w)
-    payload = json.loads(path.read_text())
+    payload = json.loads(path.read_text(encoding="utf-8"))
     coefs = payload["coefs"]
     i, j = term_index(payload, (0, 1, 0, 2, 1, 1)), term_index(payload, (1, 1, 1, 2, 0, 0))
     assert coefs[i] != coefs[j]
     coefs[i], coefs[j] = coefs[j], coefs[i]
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps(payload), encoding="utf-8")
     return path
 
 
@@ -274,9 +286,9 @@ def test_an_owed_proof_that_fails_names_its_entry_and_nothing_is_computed(
 def test_an_owed_proof_is_named_before_a_later_corrupt_hit(warm_scaleup, term_index):
     path = _sigma_swap_entry(SWAPPED, term_index)
     later = characters.cache_path(LATER)
-    payload = json.loads(later.read_text())
+    payload = json.loads(later.read_text(encoding="utf-8"))
     payload["coefs"][term_index(payload, LATER)] = 2
-    later.write_text(json.dumps(payload))
+    later.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(CacheCorruptError, match="^" + re.escape(
             f"invalid cache entry {path}: character of {SWAPPED} is not an eigenfunction")):
         tensor_decompose(*SCALEUP)
@@ -291,10 +303,11 @@ def test_a_hit_that_fails_its_dimension_check_is_not_paid_into_the_memory_tier(w
     # of SWAPPED's eigenvalue, with twice its dimension: the peel rejects the
     # entry, and the payment when the peel ends must not admit it
     stored = characters.cache_path(SWAPPED)
-    pair = [characters.decode_cache_entry(characters.cache_path(w).read_text()).poly
+    pair = [characters.decode_cache_entry(characters.cache_path(w).read_text(encoding="utf-8")).poly
             for w in (SWAPPED, lattice.conjugate(SWAPPED))]
     doubled = pair[0] + pair[1]
-    stored.write_text(characters.encode_cache_entry(Character(SWAPPED, doubled, "recursion")))
+    stored.write_text(characters.encode_cache_entry(Character(SWAPPED, doubled, "recursion")),
+                      encoding="utf-8")
     dim = lattice.weyl_dimension(SWAPPED)
     message = (f"invalid cache entry {stored}: character of {SWAPPED} evaluates to {2 * dim}, "
                f"expected the Weyl dimension {dim}")
