@@ -9,11 +9,13 @@ table gives the common value of each symmetric pair A[j,k] = A[k,j].  Every
 coefficient has denominator dividing 3, so the hot kernel works with the
 integer-valued operator 3*Delta and divides once at the surface.
 
-The table data ships as a JSON resource, parsed once into one integer kernel
-that holds the second- and first-order terms alike.  Loading re-derives
-nothing, but checks eight invariants of the data file: every record kind is
-a or b; the records are exactly the 21 pairs j <= k and the 6 first-order
-entries; SparsePolynomial.from_records reads each record's terms, so every
+tables() reads the shipped operator_tables.json once, through
+lattice.read_shipped, into one integer kernel that holds the second- and
+first-order terms alike.  Loading re-derives nothing, but checks eight
+invariants of the data file: every record is an object with its three
+fields (lattice.read_record) and every record kind is a or b; the records
+are exactly the 21 pairs j <= k and the 6 first-order entries;
+SparsePolynomial.from_records reads each record's terms, so every
 exponent is six non-negative ints and none repeats, and every coefficient
 is a rational literal (ring.coef_from_str) whose triple is an integer;
 each first-order entry is eigenvalue(l_j) z_j; every monomial
@@ -47,11 +49,10 @@ packed, whatever its size.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from math import prod
-from pathlib import Path
 from typing import Sequence
 
 from . import lattice
@@ -78,8 +79,7 @@ def eigenvalue(m: Sequence[int], kappa: Coef = 1) -> Coef:
 
 def eigenvalue_x3(m: Sequence[int]) -> int:
     """3 * eigenvalue(m, 1) as a plain int, for the integer kernel."""
-    index = _INDEX
-    return index.eps3[index.id(lattice.check_labels(m))]
+    return _INDEX.eps3[_INDEX.id(lattice.check_labels(m))]
 
 
 def energy(m: Sequence[int], kappa: Coef = 1) -> tuple[Coef, Coef]:
@@ -118,9 +118,10 @@ def parse_tables(records: Sequence[dict]) -> Kernel:
     parsed = []
     for rec in records:
         try:
-            kind, idx, raw = rec["kind"], tuple(rec["indices"]), rec["terms"]
-        except KeyError as exc:
-            raise InternalInconsistencyError(f"table record {rec} lacks the field {exc}") from None
+            kind, idx, raw = lattice.read_record(
+                rec, lambda r: (r["kind"], tuple(r["indices"]), r["terms"]))
+        except ValueError as exc:
+            raise InternalInconsistencyError(f"table {exc}") from None
         if kind not in ("a", "b"):
             raise InternalInconsistencyError(f"unknown table record kind {kind!r}")
         name = f"table record {kind}{list(idx)}"
@@ -178,16 +179,10 @@ def _check_diagram_symmetry(kernel: Kernel) -> None:
                 f"of {_record_name(j, k)}")
 
 
-_TABLES: Kernel | None = None
-
-
+@lru_cache(maxsize=None)
 def tables() -> Kernel:
     """The kernel of the shipped operator_tables.json, parsed once."""
-    global _TABLES
-    if _TABLES is None:
-        path = Path(__file__).with_name("data") / "operator_tables.json"
-        _TABLES = parse_tables(json.loads(path.read_text(encoding="utf-8")))
-    return _TABLES
+    return lattice.read_shipped("operator_tables.json", parse_tables)
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +259,7 @@ def exponent_index() -> ExponentIndex:
 
 def image_x3(exp: Sequence[int]) -> dict[Exponent, int]:
     """3 * Delta z^exp as a map of exponent -> integer coefficient."""
-    index = _INDEX
-    targets, coefs = index.row(index.id(lattice.check_labels(exp)))
-    exps = index.exps
-    return {exps[t]: c for t, c in zip(targets, coefs)}
+    return {e: c for e, c in shifted_image_x3({lattice.check_labels(exp): 1}, 0).items() if c}
 
 
 def _shifted_image_ids(poly: dict[int, Coef], eps3: int) -> dict[int, Coef]:

@@ -15,10 +15,12 @@ time rather than hard-coded.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
 from operator import mul
+from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .errors import InternalInconsistencyError, NonIntegralError
@@ -268,28 +270,46 @@ def parse_labels(parts: Sequence[str]) -> Vec | None:
 
 def _check_dominant(m: Sequence[int]) -> Vec:
     m = check_labels(m)
-    if any(x < 0 for x in m):
+    if min(m) < 0:
         raise ValueError(f"not a dominant weight: {m}")
     return m
 
 
+def read_record(rec: object, read: Callable[[dict], object]) -> object:
+    """read(rec) for one JSON record, the one owner of a record's refusal
+    texts: ValueError on a record that is not an object or lacks a field
+    that read names."""
+    if not isinstance(rec, dict):
+        raise ValueError(f"record is not an object: {rec!r}")
+    try:
+        return read(rec)
+    except KeyError as exc:
+        raise ValueError(f"record lacks the field {exc}: {rec}") from None
+
+
 def read_keyed(records: Iterable[dict], key: str, read: Callable[[dict], object]) -> dict:
     """{_check_dominant(rec[key]): read(rec)} over JSON records, the one reader of
-    a list keyed by weight or exponent: ValueError on a record that is not an
-    object or lacks a field that key or read names, and on a bad or a
-    repeated key."""
+    a list keyed by weight or exponent: ValueError on a record that read_record
+    refuses, and on a bad or a repeated key."""
     out = {}
     for rec in records:
-        if not isinstance(rec, dict):
-            raise ValueError(f"record is not an object: {rec!r}")
-        try:
-            m = _check_dominant(rec[key])
-            if m in out:
-                raise ValueError(f"repeated {key} {m}")
-            out[m] = read(rec)
-        except KeyError as exc:
-            raise ValueError(f"record lacks the field {exc}: {rec}") from None
+        m, value = read_record(rec, lambda rec: (_check_dominant(rec[key]), read(rec)))
+        if m in out:
+            raise ValueError(f"repeated {key} {m}")
+        out[m] = value
     return out
+
+
+def read_shipped(name: str, read: Callable[[object], object]) -> object:
+    """read(the parsed JSON of the data file name shipped with the package),
+    the one reader of those files: InternalInconsistencyError naming the file
+    when the JSON parser or read refuses the data with ValueError, or with the
+    TypeError of a value of the wrong JSON type, or the parser gives up on
+    arrays nested too deeply with RecursionError."""
+    try:
+        return read(json.loads((Path(__file__).with_name("data") / name).read_bytes()))
+    except (ValueError, TypeError, RecursionError) as exc:
+        raise InternalInconsistencyError(f"shipped file {name}: {exc}") from None
 
 
 # Each positive root as a step in Dynkin labels.

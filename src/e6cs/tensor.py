@@ -56,14 +56,12 @@ class CGSeries(NamedTuple):
 
     @classmethod
     def from_json(cls, obj: dict) -> "CGSeries":
-        """The series of to_json's record; ValueError on a missing field, a bad
-        weight or a multiplicity that is not a positive int."""
-        try:
-            factors, terms = obj["factors"], obj["terms"]
-        except KeyError as exc:
-            raise ValueError(f"record lacks the field {exc}: {obj}") from None
-        factors = tuple(lattice._check_dominant(f) for f in factors)
-        return cls(factors, lattice.read_keyed(terms, "weight", _multiplicity))
+        """The series of to_json's record; ValueError on a record that
+        lattice.read_record refuses, a bad weight or a multiplicity that is
+        not a positive int."""
+        return lattice.read_record(obj, lambda obj: cls(
+            tuple(map(lattice._check_dominant, obj["factors"])),
+            lattice.read_keyed(obj["terms"], "weight", _multiplicity)))
 
 
 def _multiplicity(rec: dict) -> int:

@@ -72,8 +72,7 @@ def suite_tables() -> list[Check]:
     chars = golden.all_characters()
     for series in golden.series_quadratic():
         i, j = series.factors
-        prod = SparsePolynomial.variable(1 + i.index(1)) * SparsePolynomial.variable(1 + j.index(1))
-        got = hamiltonian.apply_delta(prod)
+        got = hamiltonian.apply_delta(SparsePolynomial.monomial(series.top))  # z_i * z_j
         expect = SparsePolynomial.zero()
         for w, mult in series.terms.items():
             # two weights of the (4,4) series exceed the shipped degree-3

@@ -5,11 +5,18 @@ product families.  The suites themselves are gated once, by the pinned
 output of `e6cs verify --suite=all` in test_cli.py.  Every comparison is
 exact."""
 
+import json
+import os
 import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from e6cs import golden, lattice, tensor
+from e6cs import characters, golden, lattice, tensor
+from e6cs.errors import InternalInconsistencyError
 
 REFERENCE_SIZES = {
     golden.characters_degree2: 28,
@@ -22,15 +29,19 @@ REFERENCE_SIZES = {
 
 @pytest.fixture
 def planted_reference(monkeypatch):
-    """The loaders of golden read the files of this dict instead of the
-    shipped ones; their caches are emptied before and after."""
+    """The loaders of golden read the records of this dict, by file name,
+    in place of the shipped ones, still through lattice.read_shipped; their
+    caches are emptied before and after."""
     def forget():
         for loader in (*REFERENCE_SIZES, golden.all_characters):
             loader.cache_clear()
 
+    def planted(name, read):
+        return lattice.read_shipped(name, lambda _: read(files[name]))
+
     files = {}
     forget()
-    monkeypatch.setattr(golden, "_read", files.__getitem__)
+    monkeypatch.setattr(golden, "read_shipped", planted)
     yield files
     forget()
 
@@ -54,6 +65,10 @@ def planted_reference(monkeypatch):
     ("series_quadratic.json", [{"factors": [], "terms": [{"weight": [0] * 6, "mult": 1},
                                                          {"weight": [0] * 6, "mult": 1}]}],
      "repeated weight (0, 0, 0, 0, 0, 0)"),
+    # a factor pair listed twice, in either order, would be checked twice
+    ("series_quadratic.json", [{"factors": [[1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]], "terms": []},
+                               {"factors": [[0, 0, 1, 0, 0, 0], [1, 0, 0, 0, 0, 0]], "terms": []}],
+     "repeated factors ((0, 0, 1, 0, 0, 0), (1, 0, 0, 0, 0, 0))"),
     ("series_cubic.json", [{"monomial": [0, 0, 0, 2, 0, 0], "factors": [], "terms": []},
                            {"monomial": [0, 0, 0, 2, 0, 0], "factors": [], "terms": []}],
      "repeated monomial (0, 0, 0, 2, 0, 0)"),
@@ -82,7 +97,8 @@ def test_reference_weights_and_dimensions_are_read_exactly(planted_reference, na
                                                            fault):
     planted_reference[name] = records
     loader = getattr(golden, name.removesuffix(".json"))
-    with pytest.raises(ValueError, match=re.escape(fault)):
+    with pytest.raises(InternalInconsistencyError,
+                       match=f"^shipped file {re.escape(name)}: .*{re.escape(fault)}"):
         loader()
 
 
@@ -94,6 +110,59 @@ L3_L4 = {(0, 1, 1, 0, 0, 0): 2, (1, 0, 0, 0, 1, 0): 2, (0, 1, 0, 0, 0, 1): 2,
          (2, 1, 0, 0, 0, 0): 1, (1, 0, 0, 0, 0, 2): 1, (0, 0, 0, 0, 0, 1): 1}
 Z4_CUBED = {(1, 0, 0, 1, 0, 1): 156, (1, 1, 0, 0, 0, 1): 150, (0, 0, 1, 0, 1, 0): 128,
             (0, 0, 0, 0, 0, 0): 2}
+
+
+# the verb that reads each shipped data file
+SHIPPED_READERS = {
+    "operator_tables.json": ["char", "1,0,0,0,0,0"],
+    "characters_degree2.json": ["verify", "--suite=quadratic"],
+    "characters_degree3.json": ["verify", "--suite=appendix-a"],
+    "series_quadratic.json": ["verify", "--suite=tables"],
+    "series_cubic.json": ["verify", "--suite=appendix-b"],
+    "tensor_candidates_l3_l4.json": ["verify", "--suite=dims"],
+}
+
+
+def _truncated(text):
+    return text[:len(text) // 2]
+
+
+def _first_record_not_an_object(text):
+    records = json.loads(text)
+    records[0] = [1]
+    return json.dumps(records)
+
+
+def _first_field_dropped(text):
+    records = json.loads(text)
+    del records[0][next(iter(records[0]))]
+    return json.dumps(records)
+
+
+def _nested_too_deeply(text):
+    return "[" * 100_000
+
+
+@pytest.mark.parametrize("fault", [_truncated, _first_record_not_an_object, _first_field_dropped,
+                                   _nested_too_deeply],
+                         ids=lambda fault: fault.__name__.strip("_"))
+@pytest.mark.parametrize("name", sorted(SHIPPED_READERS))
+def test_a_corrupt_shipped_file_exits_1_with_one_error_line(tmp_path, name, fault):
+    # on a copy of the package, in a process of its own: the operator tables
+    # and the exponent index are process-wide
+    package = tmp_path / "src" / "e6cs"
+    shutil.copytree(Path(golden.__file__).parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = package / "data" / name
+    path.write_text(fault(path.read_text(encoding="utf-8")), encoding="utf-8")
+    script = "import sys; from e6cs.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = dict(os.environ, PYTHONPATH=str(package.parent), PYTHONDONTWRITEBYTECODE="1",
+               **{characters.CACHE_ENV: str(tmp_path / "cache")})
+    proc = subprocess.run([sys.executable, "-c", script, *SHIPPED_READERS[name]], env=env,
+                          capture_output=True, encoding="utf-8", timeout=120)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_reference_data_sizes():

@@ -187,7 +187,7 @@ def test_row_diagonal_is_checked_against_the_eigenvalue(monkeypatch, fresh_index
     kernel = list(hamiltonian.tables())
     j, k, same, [(off, c)] = kernel[-1]
     kernel[-1] = (j, k, same, [(off, c + 3)])
-    monkeypatch.setattr(hamiltonian, "_TABLES", kernel)
+    monkeypatch.setattr(hamiltonian, "tables", lambda: kernel)
     l6 = lattice.fundamental_weight(6)
     with fresh_index() as index:
         for _ in range(2):  # a failed row is not kept, so the check runs again
@@ -232,10 +232,12 @@ def _add_term(records, kind, indices, exp, coef):
     (lambda recs: recs.pop(7), InternalInconsistencyError, "index set is wrong"),
     # a missing field is named with its record, never a KeyError
     (lambda recs: recs[0].pop("kind"), InternalInconsistencyError,
-     "table record {'indices': [1, 1], 'terms': "),
+     "table record lacks the field 'kind': {'indices': [1, 1], 'terms': "),
     (lambda recs: recs[0].pop("indices"), InternalInconsistencyError, "lacks the field 'indices'"),
+    (lambda recs: recs.__setitem__(0, [1]), InternalInconsistencyError,
+     "table record is not an object: [1]"),
     (lambda recs: recs[0].pop("terms"), InternalInconsistencyError,
-     "table record {'kind': 'a', 'indices': [1, 1]} lacks the field 'terms'"),
+     "table record lacks the field 'terms': {'kind': 'a', 'indices': [1, 1]}"),
     (lambda recs: recs[0]["terms"][0].pop("coef"), InternalInconsistencyError,
      "table record a[1, 1]: record lacks the field 'coef': {'exp': "),
     (lambda recs: _set_coef(recs, "a", [2, 4], "1/9"), InternalInconsistencyError,

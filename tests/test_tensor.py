@@ -154,6 +154,7 @@ def test_series_json_rejects_a_multiplicity_that_is_not_a_positive_int(mult):
     ({"factors": [], "terms": [{"weight": [0] * 6}]}, "record lacks the field 'mult'"),
     ({"factors": [], "terms": [{"mult": 1}]}, "record lacks the field 'weight'"),
     ({"factors": [], "terms": [[0] * 6]}, "record is not an object: [0, 0, 0, 0, 0, 0]"),
+    ([], "record is not an object: []"),
 ])
 def test_series_json_names_a_missing_field(obj, fault):
     with pytest.raises(ValueError, match=re.escape(fault)):
@@ -340,7 +341,7 @@ def test_a_row_that_fails_its_check_in_the_packed_pass_is_blamed_on_the_first_en
     kernel = list(hamiltonian.tables())
     j, k, same, [(off, c)] = kernel[-1]
     kernel[-1] = (j, k, same, [(off, c + 3)])
-    monkeypatch.setattr(hamiltonian, "_TABLES", kernel)
+    monkeypatch.setattr(hamiltonian, "tables", lambda: kernel)
     with fresh_index(), pytest.raises(CacheCorruptError, match="^" + re.escape(
             f"invalid cache entry {characters.cache_path((2, 0, 0, 0, 0, 0))}: diagonal "
             f"coefficient of Delta z^{L(6)} disagrees with the eigenvalue formula")):
