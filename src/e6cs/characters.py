@@ -31,15 +31,14 @@ from .errors import (CacheCorruptError, CacheDirectoryError, DegenerateScaleErro
 from .ring import Exponent, SparsePolynomial, _wrap, coef_to_str
 
 CACHE_ENV = "E6CS_CACHE_DIR"
-CACHE_VERSION = 4
-JSON_VERSION = 1  # of the `char --format json` record, not of the cache
+CACHE_VERSION = 5
+JSON_VERSION = 2  # of the `char --format json` record, not of the cache
 _TMP_SUFFIX = ".tmp"  # of an entry that _store has not yet published by its rename
 
 
 class Character(NamedTuple):
     weight: lattice.Vec
     poly: SparsePolynomial
-    method: str  # recursion | annihilator
 
 
 def character_recursion(m) -> Character:
@@ -84,7 +83,7 @@ def character_recursion(m) -> Character:
                 elif t != i:  # not the diagonal: i itself has left pending
                     pending[t] = c * k3
                     reached.setdefault(heights[t], []).append(t)
-    return Character(m, _wrap(coeffs), "recursion")
+    return Character(m, _wrap(coeffs))
 
 
 def character_annihilator(m) -> Character:
@@ -117,8 +116,7 @@ def character_annihilator(m) -> Character:
         raise DegenerateScaleError(
             f"annihilator product destroyed the leading monomial of {m}")
     exps = index.exps
-    return Character(m, SparsePolynomial({exps[i]: Fraction(c, lead) for i, c in poly.items()}),
-                     "annihilator")
+    return Character(m, SparsePolynomial({exps[i]: Fraction(c, lead) for i, c in poly.items()}))
 
 
 # the eigenfunction proofs still owed in a block under owing(), by weight:
@@ -283,7 +281,6 @@ def character_to_json(ch: Character) -> dict:
     return {
         "weight": list(ch.weight),
         "terms": ch.poly.to_records(),
-        "method": ch.method,
         "version": JSON_VERSION,
     }
 
@@ -296,7 +293,7 @@ def encode_cache_entry(ch: Character) -> str:
     encoding.  An exponent over 255 raises ValueError (bytes() does): it
     needs a weight far beyond any character the engine can compute."""
     terms = ch.poly.terms
-    entry = {"weight": list(ch.weight), "version": CACHE_VERSION, "method": ch.method,
+    entry = {"weight": list(ch.weight), "version": CACHE_VERSION,
              "exps": bytes(x for e in terms for x in e).hex(), "coefs": list(terms.values())}
     return json.dumps(entry, separators=(",", ":"))
 
@@ -304,16 +301,15 @@ def encode_cache_entry(ch: Character) -> str:
 def decode_cache_entry(text: str) -> Character | None:
     """Rebuild the character stored in a cache file's text.
 
-    An entry is {"weight", "version", "method", "exps", "coefs"}
-    (encode_cache_entry): `exps` holds six exponents per term as hex, one
-    byte each, `coefs` one integer coefficient per term, and `method` names
-    one of _METHODS.  Only the one encoding encode_cache_entry gives is
-    read: `exps` as bytes.hex() writes it.
+    An entry is {"weight", "version", "exps", "coefs"} (encode_cache_entry):
+    `exps` holds six exponents per term as hex, one byte each, `coefs` one
+    integer coefficient per term.  Only the one encoding encode_cache_entry
+    gives is read: `exps` as bytes.hex() writes it.
     Each term is keyed by the exponent index's own tuple, as the recursion
     keys its terms, so every loaded entry shares the index's one tuple per
     exponent; an exponent first seen here gets its id, its row stays lazy.
     Returns None for an entry of another format version, and for one whose
-    version is not a plain int, such as 4.0.  Raises ValueError
+    version is not a plain int, such as 5.0.  Raises ValueError
     on anything malformed; the invariants are left to validate_character."""
     try:
         obj = json.loads(text)
@@ -342,16 +338,13 @@ def decode_cache_entry(text: str) -> Character | None:
         raise ValueError("negative label")
     if 0 in coefs:
         raise ValueError("zero coefficient")
-    method = obj.get("method")
-    if type(method) is not str or method not in _METHODS:
-        raise ValueError(f"method {method!r} is not one of {', '.join(_METHODS)}")
     index = hamiltonian.exponent_index()
     shared, id_of = index.exps, index.id
     it = iter(raw)  # bytes iterate as the exponents themselves
     terms = {shared[id_of(e)]: c for e, c in zip(zip(it, it, it, it, it, it), coefs)}
     if len(terms) != len(coefs):
         raise ValueError("repeated exponent")
-    return Character(tuple(weight), _wrap(terms), method)
+    return Character(tuple(weight), _wrap(terms))
 
 
 def _unusable(directory: Path, exc: OSError) -> CacheDirectoryError:
@@ -418,6 +411,8 @@ def _invalid(path: Path, exc: InternalInconsistencyError) -> CacheCorruptError:
 
 
 _MEMORY: dict[lattice.Vec, Character] = {}
+# read only by the benchmark's tracer, which binds its entries; it goes with
+# the tracer (ROADMAP item 1)
 _METHODS = {"recursion": character_recursion, "annihilator": character_annihilator}
 
 

@@ -41,10 +41,13 @@ def series_quadratic() -> list[CGSeries]:
 
 
 def _distinct_series(records: list) -> list[CGSeries]:
-    """The series of records, in file order; ValueError on a repeated factor
+    """The series of records, in file order, each of z_i * z_j: ValueError
+    unless the factors are two fundamental weights, and on a repeated factor
     pair, in either order, which the suites would check twice."""
     out = {}
     for series in map(CGSeries.from_json, records):
+        if len(series.factors) != 2 or any(sum(f) != 1 for f in series.factors):
+            raise ValueError(f"factors {series.factors} are not two fundamental weights")
         if out.setdefault(pair := tuple(sorted(series.factors)), series) is not series:
             raise ValueError(f"repeated factors {pair}")
     return list(out.values())

@@ -56,7 +56,7 @@ from math import prod
 from typing import Sequence
 
 from . import lattice
-from .errors import InternalInconsistencyError
+from .errors import InternalInconsistencyError, NonIntegralError
 from .ring import Coef, Exponent, SparsePolynomial, _norm, _wrap, coef_to_str
 
 
@@ -111,10 +111,7 @@ _RECORD_KEYS = ([("a", (j, k)) for j in range(1, 7) for k in range(j, 7)]
 def parse_tables(records: Sequence[dict]) -> Kernel:
     """The integer kernel of the operator from the records of
     operator_tables.json, with the eight load checks of the module docstring.
-
-    A failed check raises InternalInconsistencyError, except a shift outside
-    the root lattice, which raises NonIntegralError.
-    """
+    A failed check raises InternalInconsistencyError."""
     parsed = []
     for rec in records:
         try:
@@ -133,12 +130,12 @@ def parse_tables(records: Sequence[dict]) -> Kernel:
             if (3 * c).denominator != 1:
                 raise InternalInconsistencyError(
                     f"{name}: denominator of {coef_to_str(c)} exceeds 3")
-        parsed.append((kind, idx, {e: int(3 * c) for e, c in terms.items()}))
+        parsed.append((kind, idx, {e: int(3 * c) for e, c in terms.items()}, name))
     parsed.sort(key=lambda rec: rec[:2])
     if [rec[:2] for rec in parsed] != _RECORD_KEYS:
         raise InternalInconsistencyError("operator table index set is wrong")
     kernel: Kernel = []
-    for kind, idx, terms in parsed:
+    for kind, idx, terms, name in parsed:
         j, k = idx if kind == "a" else (idx[0], 7)
         lj = lattice.fundamental_weight(j)
         if kind == "b" and terms != {lj: lattice.eps3(lj)}:
@@ -148,11 +145,16 @@ def parse_tables(records: Sequence[dict]) -> Kernel:
         entries = []
         for e, c in terms.items():
             off = tuple(x - (i == j - 1) - (i == k - 1) for i, x in enumerate(e))
-            drop = lattice.to_root_basis(tuple(-x for x in off))  # raises off the root lattice
+            try:
+                drop = lattice.to_root_basis(tuple(-x for x in off))
+            except NonIntegralError:
+                raise InternalInconsistencyError(
+                    f"{name}: the term at exponent {e} has the shift {off}, which is not "
+                    "in the root lattice") from None
             if min(drop) < 0:
                 raise InternalInconsistencyError(
-                    f"table record {kind}{list(idx)}: the term at exponent {e} raises the "
-                    f"weight: its shift {off} is not minus a sum of simple roots")
+                    f"{name}: the term at exponent {e} raises the weight: its shift {off} "
+                    "is not minus a sum of simple roots")
             entries.append((off, scale * c))
         kernel.append((j - 1, k - 1, int(j == k), entries))
     _check_diagram_symmetry(kernel)

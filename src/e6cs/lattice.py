@@ -305,9 +305,12 @@ def read_shipped(name: str, read: Callable[[object], object]) -> object:
     the one reader of those files: InternalInconsistencyError naming the file
     when the JSON parser or read refuses the data with ValueError, or with the
     TypeError of a value of the wrong JSON type, or the parser gives up on
-    arrays nested too deeply with RecursionError."""
+    arrays nested too deeply with RecursionError, or the file cannot be read
+    with OSError, as when it is missing."""
     try:
         return read(json.loads((Path(__file__).with_name("data") / name).read_bytes()))
+    except OSError as exc:
+        raise InternalInconsistencyError(f"shipped file {name}: {exc.strerror or exc}") from None
     except (ValueError, TypeError, RecursionError) as exc:
         raise InternalInconsistencyError(f"shipped file {name}: {exc}") from None
 

@@ -92,6 +92,12 @@ def planted_reference(monkeypatch):
     # int() would round this to 2925
     ("tensor_candidates_l3_l4.json", [{"weight": [0, 0, 0, 1, 0, 0], "dim": 2925.9}],
      "dimension must be an int"),
+    # a quadratic series is z_i * z_j: exactly two factors, each a fundamental weight
+    ("series_quadratic.json", [{"factors": [[2, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0]], "terms": []}],
+     "factors ((2, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0)) are not two fundamental weights"),
+    ("series_quadratic.json", [{"factors": [[1, 0, 0, 0, 0, 0]] * 3, "terms": []}],
+     "factors ((1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0)) are not two "
+     "fundamental weights"),
 ])
 def test_reference_weights_and_dimensions_are_read_exactly(planted_reference, name, records,
                                                            fault):
@@ -143,8 +149,12 @@ def _nested_too_deeply(text):
     return "[" * 100_000
 
 
+def _removed(text):
+    return None  # the file is deleted
+
+
 @pytest.mark.parametrize("fault", [_truncated, _first_record_not_an_object, _first_field_dropped,
-                                   _nested_too_deeply],
+                                   _nested_too_deeply, _removed],
                          ids=lambda fault: fault.__name__.strip("_"))
 @pytest.mark.parametrize("name", sorted(SHIPPED_READERS))
 def test_a_corrupt_shipped_file_exits_1_with_one_error_line(tmp_path, name, fault):
@@ -154,7 +164,11 @@ def test_a_corrupt_shipped_file_exits_1_with_one_error_line(tmp_path, name, faul
     shutil.copytree(Path(golden.__file__).parent, package,
                     ignore=shutil.ignore_patterns("__pycache__"))
     path = package / "data" / name
-    path.write_text(fault(path.read_text(encoding="utf-8")), encoding="utf-8")
+    text = fault(path.read_text(encoding="utf-8"))
+    if text is None:
+        path.unlink()
+    else:
+        path.write_text(text, encoding="utf-8")
     script = "import sys; from e6cs.cli import main; sys.exit(main(sys.argv[1:]))"
     env = dict(os.environ, PYTHONPATH=str(package.parent), PYTHONDONTWRITEBYTECODE="1",
                **{characters.CACHE_ENV: str(tmp_path / "cache")})
@@ -163,6 +177,8 @@ def test_a_corrupt_shipped_file_exits_1_with_one_error_line(tmp_path, name, faul
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
     assert "Traceback" not in proc.stderr
+    if fault is _removed:
+        assert proc.stderr.startswith(f"error: shipped file {name}: "), proc.stderr
 
 
 def test_reference_data_sizes():

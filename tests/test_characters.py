@@ -28,8 +28,7 @@ def test_recursion_examples():
     }
     for w, expect in cases.items():
         ch = character_recursion(w)
-        assert ch.poly == parse_polynomial(expect)
-        assert ch.method == "recursion"
+        assert ch == (w, parse_polynomial(expect))
 
 
 def test_annihilator_examples():
@@ -40,8 +39,7 @@ def test_annihilator_examples():
     }
     for w, expect in cases.items():
         ch = character_annihilator(w)
-        assert ch.poly == parse_polynomial(expect)
-        assert ch.method == "annihilator"
+        assert ch == (w, parse_polynomial(expect))
 
 
 def test_trivial_character():
@@ -51,11 +49,10 @@ def test_trivial_character():
 def test_dispatcher_uses_cache():
     w = (0, 1, 0, 0, 1, 0)
     first = character(w)
-    assert first.method == "recursion"
+    assert first == character_recursion(w)
     characters.clear_memory_cache()
     again = character(w)  # reloaded from disk
-    assert again.poly == first.poly
-    assert again.method == "recursion"
+    assert again == first
 
 
 def test_third_order_character_from_reference_data():
@@ -128,8 +125,8 @@ def test_cache_round_trip(isolated_cache):
     assert path.is_file()
     payload = json.loads(path.read_text(encoding="utf-8"))
     assert payload["weight"] == list(w)
-    assert payload["version"] == characters.CACHE_VERSION
-    assert payload["method"] == "recursion"
+    assert payload["version"] == characters.CACHE_VERSION == 5
+    assert "method" not in payload
     # bit-exact reload
     characters.clear_memory_cache()
     again = character(w)
@@ -154,11 +151,11 @@ def test_cache_format_round_trip_is_bit_exact(isolated_cache):
     for w in [(0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 1), (0, 0, 0, 3, 0, 0), (1, 1, 0, 0, 1, 0)]:
         ch = character(w)
         payload = json.loads(characters.cache_path(w).read_text(encoding="utf-8"))
-        assert list(payload) == ["weight", "version", "method", "exps", "coefs"]
+        assert list(payload) == ["weight", "version", "exps", "coefs"]
         assert len(_exponents(payload)) == 6 * len(payload["coefs"]) == 6 * len(ch.poly.terms)
         characters.clear_memory_cache()
         again = character(w)
-        assert again.weight == ch.weight and again.method == ch.method
+        assert again == ch
         assert list(again.poly.terms.items()) == list(ch.poly.terms.items())
         assert all(type(c) is int for c in again.poly.terms.values())
 
@@ -241,20 +238,18 @@ def test_cache_entry_round_trips(fresh_index, data):
     labels, coefs = st.integers(0, 255), st.integers(-2 ** 200, 2 ** 200).filter(bool)
     terms = data.draw(st.dictionaries(st.tuples(*[labels] * 6), coefs, min_size=1, max_size=8))
     weight = data.draw(st.tuples(*[st.integers(0, 2 ** 40)] * 6))
-    method = data.draw(st.sampled_from(["recursion", "annihilator"]))
-    ch = characters.Character(weight, SparsePolynomial(terms), method)
+    ch = characters.Character(weight, SparsePolynomial(terms))
     text = characters.encode_cache_entry(ch)
     with fresh_index() as index:
         got = characters.decode_cache_entry(text)
-        assert (got.weight, got.method) == (weight, method)
+        assert got.weight == weight
         assert list(got.poly.terms.items()) == list(terms.items())
         assert all(e is index.exps[index.ids[e]] for e in got.poly.terms)
         assert characters.encode_cache_entry(got) == text
 
 
 def test_an_exponent_over_255_is_not_stored():
-    ch = characters.Character((0, 0, 0, 0, 0, 0),
-                              SparsePolynomial({(256, 0, 0, 0, 0, 1): 1}), "recursion")
+    ch = characters.Character((0, 0, 0, 0, 0, 0), SparsePolynomial({(256, 0, 0, 0, 0, 1): 1}))
     with pytest.raises(ValueError, match="range"):
         characters.encode_cache_entry(ch)
 
@@ -298,16 +293,12 @@ def _same_dimension_non_eigenfunction(payload, at):
     payload["coefs"].append(13)
 
 
-def _unknown_method(payload, at):
-    payload["method"] = ["x"]  # once printed by `char --format json` as "['x']"
-
-
 def _not_an_object(payload, at):
     return []
 
 
 def _integer_array_exps(payload, at):
-    payload["exps"] = _exponents(payload)  # the version-2 field under version 4
+    payload["exps"] = _exponents(payload)  # the version-2 field under version 5
 
 
 @pytest.mark.parametrize("corrupt, reason", [
@@ -317,7 +308,6 @@ def _integer_array_exps(payload, at):
     (_true_coefficient, "must be integers"),
     (_zero_coefficient, "zero coefficient"),
     (_repeated_exponent, "repeated exponent"),
-    (_unknown_method, r"method \['x'\] is not one of recursion, annihilator"),
     (_not_an_object, "entry is not a JSON object"),
     (_integer_array_exps, "weight and coefs must be arrays, exps a string"),
     (_foreign_weight, r"holds the character of \(0, 0, 0, 0, 0, 2\)"),
@@ -442,15 +432,23 @@ def _v3_entry(w, poly):
                        "coefs": list(poly.terms.values())}, separators=(",", ":"))
 
 
+def _v4_entry(w, poly):
+    """The version-4 layout, byte for byte as it was stored: a `method` field
+    before the hex exponents, `recursion` for every entry a run wrote."""
+    return json.dumps({"weight": list(w), "version": 4, "method": "recursion",
+                       "exps": bytes(x for e in poly.terms for x in e).hex(),
+                       "coefs": list(poly.terms.values())}, separators=(",", ":"))
+
+
 def _float_version_entry(w, poly):
-    """A version-4 entry but for its version, written 4.0."""
-    entry = json.loads(characters.encode_cache_entry(characters.Character(w, poly, "recursion")))
-    entry["version"] = 4.0
+    """A version-5 entry but for its version, written 5.0."""
+    entry = json.loads(characters.encode_cache_entry(characters.Character(w, poly)))
+    entry["version"] = 5.0
     return json.dumps(entry, separators=(",", ":"))
 
 
 @pytest.mark.parametrize("stale", [_v1_entry, _v2_entry, _v2_annihilator_entry, _v3_entry,
-                                   _float_version_entry])
+                                   _v4_entry, _float_version_entry])
 def test_stale_cache_version_is_recomputed(stale, isolated_cache, monkeypatch, capsys):
     expect = {w: character_recursion(w) for w in [(1, 0, 0, 0, 0, 2), (0, 1, 1, 0, 0, 0)]}
     for w, ch in expect.items():
@@ -460,7 +458,7 @@ def test_stale_cache_version_is_recomputed(stale, isolated_cache, monkeypatch, c
     w, u = expect
     assert character(w) == expect[w]  # a miss: recomputed and overwritten
     assert main(["cache", "validate"]) == 0  # upgrades the other entry
-    assert characters.CACHE_VERSION == 4
+    assert characters.CACHE_VERSION == 5
     for v, ch in expect.items():
         stored = characters.cache_path(v).read_text(encoding="utf-8")
         assert stored == characters.encode_cache_entry(ch)
@@ -574,7 +572,7 @@ def test_verify_names_a_character_that_fails_its_invariants(monkeypatch, fault):
     faulty = fault(expect.terms, e)
 
     def recursion(m):
-        return characters.Character(tuple(m), SparsePolynomial(faulty), "recursion")
+        return characters.Character(tuple(m), SparsePolynomial(faulty))
 
     monkeypatch.setattr(verify, "character_recursion", recursion)
     checks = {c.name: c for c in verify._character_checks(w, expect)}
@@ -591,8 +589,7 @@ def test_validation_failures_name_the_fault(monkeypatch):
     w = (1, 0, 0, 0, 0, 2)
     ch = character_recursion(w)
     e = next(e for e in ch.poly.terms if e != w)  # an interior term, with no mate term
-    swapped = characters.Character(w, SparsePolynomial(_swap_mates(ch.poly.terms, e)),
-                                   "recursion")
+    swapped = characters.Character(w, SparsePolynomial(_swap_mates(ch.poly.terms, e)))
     with pytest.raises(InternalInconsistencyError) as info:
         validate_character(swapped)
     msg = str(info.value)
@@ -603,8 +600,8 @@ def test_validation_failures_name_the_fault(monkeypatch):
     doubled = {**ch.poly.terms, e: 2 * ch.poly.terms[e]}
     with pytest.raises(InternalInconsistencyError,
                        match=re.escape(_dimension_text(w, doubled))):
-        validate_character(characters.Character(w, SparsePolynomial(doubled), "recursion"))
-    halved = characters.Character(w, SparsePolynomial({w: 1, e: Fraction(1, 2)}), "recursion")
+        validate_character(characters.Character(w, SparsePolynomial(doubled)))
+    halved = characters.Character(w, SparsePolynomial({w: 1, e: Fraction(1, 2)}))
     with pytest.raises(InternalInconsistencyError,
                        match=re.escape(f"character of {w} has non-integer coefficients")):
         validate_character(halved)
@@ -673,7 +670,8 @@ def test_character_json_serialization():
     record = json.loads(json.dumps(characters.character_to_json(ch)))
     assert tuple(record["weight"]) == ch.weight
     assert SparsePolynomial.from_records(record["terms"]) == ch.poly
-    assert record["method"] == ch.method
+    assert list(record) == ["weight", "terms", "version"]  # no method
+    assert record["version"] == characters.JSON_VERSION == 2
 
 
 def test_rejects_negative_labels():

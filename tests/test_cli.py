@@ -12,7 +12,6 @@ import pytest
 
 import e6cs
 from e6cs import characters, lattice
-from e6cs.characters import character_annihilator
 from e6cs.cli import main
 from e6cs.ring import SparsePolynomial, parse_polynomial
 from e6cs.tensor import CGSeries, tensor_decompose
@@ -77,7 +76,7 @@ def test_char_json_output_is_pinned(capsys, isolated_cache):
               '{"exp": [2, 0, 0, 0, 0, 0], "coef": "1"}, '
               '{"exp": [0, 0, 1, 0, 0, 0], "coef": "-1"}, '
               '{"exp": [0, 0, 0, 0, 0, 1], "coef": "-1"}], '
-              '"method": "recursion", "version": 1}\n')
+              '"version": 2}\n')
     for _ in range(2):
         assert run(capsys, "char", "2,0,0,0,0,0", "--format", "json") == (0, expect, "")
         characters.clear_memory_cache()
@@ -89,7 +88,7 @@ def test_char_json_round_trips(capsys):
     record = json.loads(out)
     assert record["weight"] == [1, 1, 0, 0, 0, 0]
     assert SparsePolynomial.from_records(record["terms"]) == parse_polynomial("z1*z2 - z1 - z5")
-    assert record["method"] == "recursion"
+    assert list(record) == ["weight", "terms", "version"]
 
 
 def test_dim(capsys):
@@ -338,14 +337,15 @@ def test_verify_all_output_is_pinned(capsys, isolated_cache):
 def _entry_digests(cache):
     """The entry count, the digest of the entry files by name, and the digest
     of the same entries decoded and rendered again in the version-2 layout
-    (flat integer arrays), which the version-2 files hashed to: so only the
-    exponent field changed with version 3, and version 4 only dropped `width`."""
+    (flat integer arrays, and the `method` every entry then recorded), which
+    the version-2 files hashed to: so only the exponent field changed with
+    version 3, version 4 only dropped `width` and version 5 only `method`."""
     files, v2 = hashlib.sha256(), hashlib.sha256()
     entries = sorted(cache.glob("chi_*.json"))
     for path in entries:
         text = path.read_bytes()
         ch = characters.decode_cache_entry(text.decode())
-        old = json.dumps({"weight": list(ch.weight), "version": 2, "method": ch.method,
+        old = json.dumps({"weight": list(ch.weight), "version": 2, "method": "recursion",
                           "exps": [x for e in ch.poly.terms for x in e],
                           "coefs": list(ch.poly.terms.values())}, separators=(",", ":"))
         files.update(path.name.encode() + b"\0" + text + b"\0")
@@ -358,7 +358,7 @@ def test_cache_entries_written_by_a_cold_job_are_pinned(capsys, isolated_cache):
     code, _, _ = run(capsys, "monomial", "0,0,1,1,0,0")
     assert code == 0
     assert _entry_digests(isolated_cache) == (
-        14, "fbfaed418fb1f418c19d78ed1122224d6dcd71c57b47a4b3737badabc4783c5e",
+        14, "8e0ccdb0172545ca51fc4d2b4625b1b19769d566f2409ac7bdb9eac2d338437a",
         "ebc86e4a5611ec4acc06b2846666b3ffb19d64b389bdb5b7063ada70e4b2696b")
 
 
@@ -370,33 +370,13 @@ def test_the_cold_monomial_job_is_pinned(capsys, isolated_cache):
     code, out, _ = run(capsys, "monomial", "0,0,0,5,0,0", "--json")
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == expect
     assert _entry_digests(isolated_cache) == (
-        633, "101f37fb3e31db0e8fb58133010a5c1ea0e87ca89a5be63b573e35be49b4b8ce",
+        633, "61afaf2bc3af37c77bac9cb46263bec53b33c893be31e90472b49e56ca7d95bf",
         "da7c8f1e4990bbf6d3f7e1e36680ad216530b3c46dc21fc3c0601dc52be89b5b")
     characters.clear_memory_cache()
     code, out, _ = run(capsys, "monomial", "0,0,0,5,0,0", "--json")
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == expect
     assert run(capsys, "cache", "validate") == \
         (0, f"validated 633 entries in {isolated_cache}\n", "")
-
-
-def test_an_annihilator_entry_of_an_older_run_still_loads(capsys, isolated_cache):
-    # a version-4 entry that records the annihilator, which no command writes
-    # now; the ones `char --method=annihilator` once stored are version 2 and
-    # read as a miss (test_stale_cache_version_is_recomputed)
-    w = (0, 2, 0, 0, 0, 0)
-    characters._store(character_annihilator(w))
-    path = characters.cache_path(w)
-    stored = path.read_bytes()
-    code, out, err = run(capsys, "char", "0,2,0,0,0,0", "--format=json")
-    assert (code, err) == (0, "")
-    record = json.loads(out)
-    assert record["method"] == "annihilator"
-    assert SparsePolynomial.from_records(record["terms"]) == parse_polynomial("z2^2 - z4 - z1*z6")
-    assert run(capsys, "cache", "validate") == \
-        (0, f"validated 1 entries in {isolated_cache}\n", "")
-    code, out, _ = run(capsys, "verify", "--suite=dims")
-    assert code == 0 and "cached entries swept: 1" in out
-    assert path.read_bytes() == stored
 
 
 def test_verify_dims_suite_vacuous_on_empty_cache(capsys, isolated_cache):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from e6cs import hamiltonian, lattice
 from e6cs.characters import character_recursion
-from e6cs.errors import InternalInconsistencyError, NonIntegralError
+from e6cs.errors import InternalInconsistencyError
 from e6cs.ring import SparsePolynomial, parse_polynomial
 
 small_weights = st.tuples(*([st.integers(0, 2)] * 6))
@@ -244,8 +244,9 @@ def _add_term(records, kind, indices, exp, coef):
      "denominator of 1/9 exceeds 3"),
     (lambda recs: _set_coef(recs, "b", [3], "203/3"), InternalInconsistencyError,
      "first-order coefficient 3 is not the eigenvalue multiple of z3"),
-    (lambda recs: recs[0]["terms"][0].update(exp=[1, 0, 0, 0, 0, 0]), NonIntegralError,
-     "not in the root lattice"),
+    (lambda recs: recs[0]["terms"][0].update(exp=[1, 0, 0, 0, 0, 0]), InternalInconsistencyError,
+     "table record a[1, 1]: the term at exponent (1, 0, 0, 0, 0, 0) has the shift "
+     "(-1, 0, 0, 0, 0, 0), which is not in the root lattice"),
     # an exponent is read as lattice._check_dominant reads a weight
     (lambda recs: recs[0]["terms"][0].update(exp=[2, 0, 0, 0, 0]), InternalInconsistencyError,
      "table record a[1, 1]: not a vector of six labels: (2, 0, 0, 0, 0)"),

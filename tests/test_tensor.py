@@ -165,7 +165,7 @@ def test_peeling_detects_negative_multiplicity():
     # poison the in-memory cache for chi(l3) and watch the engine object
     characters.clear_memory_cache()
     try:
-        bad = Character((0, 0, 1, 0, 0, 0), parse_polynomial("z3 + 2*z6"), "golden")
+        bad = Character((0, 0, 1, 0, 0, 0), parse_polynomial("z3 + 2*z6"))
         characters._MEMORY[(0, 0, 1, 0, 0, 0)] = bad
         with pytest.raises(NegativeMultiplicityError):
             tensor_decompose(L(2), L(6))
@@ -176,7 +176,7 @@ def test_peeling_detects_negative_multiplicity():
 def test_peeling_detects_nonzero_residual():
     characters.clear_memory_cache()
     try:
-        bad = Character((0, 0, 1, 0, 0, 0), parse_polynomial("z3 - z5"), "golden")
+        bad = Character((0, 0, 1, 0, 0, 0), parse_polynomial("z3 - z5"))
         characters._MEMORY[(0, 0, 1, 0, 0, 0)] = bad
         with pytest.raises(NonzeroResidualError):
             tensor_decompose(L(2), L(6))
@@ -307,8 +307,7 @@ def test_a_hit_that_fails_its_dimension_check_is_not_paid_into_the_memory_tier(w
     pair = [characters.decode_cache_entry(characters.cache_path(w).read_text(encoding="utf-8")).poly
             for w in (SWAPPED, lattice.conjugate(SWAPPED))]
     doubled = pair[0] + pair[1]
-    stored.write_text(characters.encode_cache_entry(Character(SWAPPED, doubled, "recursion")),
-                      encoding="utf-8")
+    stored.write_text(characters.encode_cache_entry(Character(SWAPPED, doubled)), encoding="utf-8")
     dim = lattice.weyl_dimension(SWAPPED)
     message = (f"invalid cache entry {stored}: character of {SWAPPED} evaluates to {2 * dim}, "
                f"expected the Weyl dimension {dim}")
